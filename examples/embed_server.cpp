@@ -13,7 +13,8 @@
 //        --workers N        worker threads (default DBR_THREADS)
 //        --max-pending N    admission bound before kOverloaded (default 1024)
 //        --timeout-ms F     per-request deadline (default off)
-//        --solve-delay-ms F debug solve delay (test/CI hook, default off)
+//        --solve-delay-ms F debug delay of solves run on a worker (loop-served
+//                           cache hits are not delayed; test/CI hook, default off)
 //        --repair           enable incremental session repair
 //        --validate         oracle-check every computed answer
 //        --shards N         fabric mode: N consistent-hash engine shards

@@ -11,7 +11,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "service/fabric.hpp"
@@ -28,6 +30,11 @@ using Clock = std::chrono::steady_clock;
 // epoll user-data ids for the two non-connection fds.
 constexpr std::uint64_t kListenerTag = 0;
 constexpr std::uint64_t kWakeTag = 1;
+
+/// Unflushed reply bytes beyond which a connection stops reading requests
+/// until its peer drains them below this again. One B(2,15) ring reply is
+/// 256 KiB, so the cap holds a few of the largest common replies.
+constexpr std::size_t kMaxUnflushedReplyBytes = std::size_t{1} << 20;
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
@@ -54,6 +61,16 @@ struct Server::OpItem {
   bool is_solve = false;
   bool has_deadline = false;
   Clock::time_point deadline{};
+  /// A kSolve whose loop-thread probe missed: its canonical key and ring
+  /// flag, so the worker computes without decoding or probing again.
+  std::optional<service::CacheKey> missed_key;
+  bool want_ring = true;
+
+  bool expired() const {
+    // >= : a reply landing exactly at the deadline is already late, and a
+    // coarse clock tick would otherwise let a 1 ms budget never expire.
+    return has_deadline && Clock::now() >= deadline;
+  }
 };
 
 struct Server::Connection {
@@ -66,7 +83,9 @@ struct Server::Connection {
   /// Pending reply bytes; woff_ is the flushed prefix.
   std::vector<std::uint8_t> wbuf;
   std::size_t woff = 0;
-  bool epollout = false;   ///< EPOLLOUT currently armed
+  std::uint32_t armed = EPOLLIN;  ///< epoll events currently armed
+  /// Reading stopped at the output cap; frames may wait in `parser`.
+  bool read_paused = false;
   bool read_closed = false;  ///< EOF, read error, or unframeable stream
   bool broken = false;       ///< socket unusable; discard pending writes
 
@@ -87,6 +106,44 @@ struct Server::Task {
 struct Server::Completion {
   std::uint64_t conn_id = 0;
   std::vector<std::uint8_t> bytes;
+};
+
+/// One reply frame encoded in place at the end of an output buffer: a
+/// worker task's, or a connection's wbuf for a hit answered on the loop.
+/// The header goes first with a zero length, the payload is appended behind
+/// it, and finish() patches the length — no temporary payload vector and no
+/// copy. This is the server's only reply encoder.
+class Server::Reply {
+ public:
+  Reply(Server& server, std::vector<std::uint8_t>& out, const OpItem& op)
+      : server_(server), out_(out), start_(out.size()), writer_(out) {
+    encode_header(out, op.opcode | kReplyBit, op.request_id, 0);
+  }
+
+  /// Writes the kOk status byte; the caller appends the body.
+  WireWriter& ok() {
+    writer_.u8(static_cast<std::uint8_t>(WireStatus::kOk));
+    return writer_;
+  }
+
+  /// Replaces whatever payload was written with `status` and `message`.
+  void error(WireStatus status, std::string_view message) {
+    out_.resize(start_ + kHeaderSize);
+    writer_.u8(static_cast<std::uint8_t>(status));
+    writer_.str(message);
+  }
+
+  /// Patches the payload length: the frame is complete.
+  void finish() {
+    patch_payload_len(out_, start_);
+    server_.frames_out_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+ private:
+  Server& server_;
+  std::vector<std::uint8_t>& out_;
+  std::size_t start_;
+  WireWriter writer_;
 };
 
 Server::Server(service::EmbedEngine& engine, ServerOptions options)
@@ -225,8 +282,11 @@ void Server::loop() {
         conn.wbuf.clear();
         conn.woff = 0;
       } else {
-        if (events[i].events & EPOLLOUT) connection_writable(conn);
-        if (events[i].events & EPOLLIN) connection_readable(conn);
+        if (events[i].events & EPOLLOUT) flush(conn);
+        // A connection paused at the output cap resumes once the flush
+        // made room; its backlog may sit in the parser with no new bytes.
+        if ((events[i].events & EPOLLIN) || conn.read_paused)
+          connection_readable(conn);
       }
       // The connection may now be closable (EOF + nothing pending).
       if ((conn.read_closed || conn.broken) && !conn.task_in_flight &&
@@ -297,30 +357,16 @@ void Server::accept_ready() {
 }
 
 void Server::connection_readable(Connection& conn) {
+  conn.read_paused = false;
   if (conn.read_closed) return;
   std::uint8_t buf[64 * 1024];
-  for (;;) {
+  // Frames already buffered go first: a connection resuming from the
+  // output cap still holds its backlog in the parser.
+  while (parse_frames(conn)) {
     const ssize_t r = ::read(conn.fd, buf, sizeof(buf));
     if (r > 0) {
       conn.parser.feed(std::span<const std::uint8_t>(
           buf, static_cast<std::size_t>(r)));
-      Frame frame;
-      for (;;) {
-        const FrameParser::Result res = conn.parser.next(&frame);
-        if (res == FrameParser::Result::kFrame) {
-          frames_in_.fetch_add(1, std::memory_order_relaxed);
-          enqueue_frame(conn, std::move(frame));
-          continue;
-        }
-        if (res == FrameParser::Result::kError) {
-          // The stream can no longer be framed (bad magic / version / flags
-          // / absurd length): stop reading, flush what we owe, then close.
-          bad_frames_.fetch_add(1, std::memory_order_relaxed);
-          conn.read_closed = true;
-        }
-        break;
-      }
-      if (conn.read_closed) break;
       continue;
     }
     if (r == 0) {  // EOF: the client is done sending; flush and close
@@ -334,6 +380,35 @@ void Server::connection_readable(Connection& conn) {
     conn.wbuf.clear();
     conn.woff = 0;
     break;
+  }
+  flush(conn);  // one flush for every hit answered on the loop
+}
+
+bool Server::parse_frames(Connection& conn) {
+  Frame frame;
+  for (;;) {
+    if (conn.wbuf.size() - conn.woff > kMaxUnflushedReplyBytes) {
+      flush(conn);  // the peer may have read meanwhile: make room first
+      if (conn.read_closed) return false;  // the flush broke the socket
+      if (conn.wbuf.size() - conn.woff > kMaxUnflushedReplyBytes) {
+        conn.read_paused = true;  // flush() disarms EPOLLIN until drained
+        return false;
+      }
+    }
+    switch (conn.parser.next(&frame)) {
+      case FrameParser::Result::kNeedMore:
+        return true;
+      case FrameParser::Result::kError:
+        // The stream can no longer be framed (bad magic / version / flags
+        // / absurd length): stop reading, flush what we owe, then close.
+        bad_frames_.fetch_add(1, std::memory_order_relaxed);
+        conn.read_closed = true;
+        return false;
+      case FrameParser::Result::kFrame:
+        frames_in_.fetch_add(1, std::memory_order_relaxed);
+        enqueue_frame(conn, std::move(frame));
+        break;
+    }
   }
 }
 
@@ -372,8 +447,29 @@ void Server::enqueue_frame(Connection& conn, Frame frame) {
       }
     }
   }
+  // Only with nothing ahead of it on the connection may a reply leave from
+  // the loop: FIFO order per connection is the wire contract.
+  if (op.admission == Admission::kAdmitted &&
+      op.opcode == static_cast<std::uint8_t>(Op::kSolve) &&
+      fabric_ == nullptr && !conn.task_in_flight && conn.ops.empty() &&
+      answer_on_loop(conn, op)) {
+    return;
+  }
   conn.ops.push_back(std::move(op));
   schedule(conn);
+}
+
+bool Server::answer_on_loop(Connection& conn, OpItem& op) {
+  service::EmbedRequest request;
+  // A malformed payload goes to the worker, which answers kBadFrame.
+  if (!decode_request(op.payload, &request, &op.want_ring)) return false;
+  op.missed_key = service::canonical_key(request);
+  const std::optional<service::EmbedResponse> hit = engine_->probe(*op.missed_key);
+  if (!hit) return false;
+  Reply reply(*this, conn.wbuf, op);
+  finish_solve(reply, op, *hit, op.want_ring);
+  pending_solves_.fetch_sub(1, std::memory_order_relaxed);
+  return true;
 }
 
 void Server::schedule(Connection& conn) {
@@ -390,8 +486,6 @@ void Server::schedule(Connection& conn) {
   }
   pool_cv_.notify_one();
 }
-
-void Server::connection_writable(Connection& conn) { flush(conn); }
 
 void Server::flush(Connection& conn) {
   if (conn.broken) {
@@ -417,17 +511,24 @@ void Server::flush(Connection& conn) {
   if (conn.woff >= conn.wbuf.size()) {
     conn.wbuf.clear();
     conn.woff = 0;
+  } else if (conn.woff > conn.wbuf.size() / 2) {
+    // Drop the sent prefix once it is the larger part, so a peer that never
+    // quite catches up cannot grow wbuf past about twice the output cap.
+    conn.wbuf.erase(conn.wbuf.begin(),
+                    conn.wbuf.begin() + static_cast<std::ptrdiff_t>(conn.woff));
+    conn.woff = 0;
   }
   update_epoll(conn);
 }
 
 void Server::update_epoll(Connection& conn) {
   if (conn.broken || conn.fd < 0) return;
-  const bool want_out = conn.woff < conn.wbuf.size();
-  if (want_out == conn.epollout) return;
-  conn.epollout = want_out;
+  const std::uint32_t want = (conn.read_paused ? 0u : EPOLLIN) |
+                             (conn.woff < conn.wbuf.size() ? EPOLLOUT : 0u);
+  if (want == conn.armed) return;
+  conn.armed = want;
   epoll_event ev{};
-  ev.events = EPOLLIN | (want_out ? EPOLLOUT : 0u);
+  ev.events = want;
   ev.data.u64 = conn.id;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
 }
@@ -482,6 +583,9 @@ void Server::handle_completions() {
       flush(conn);
     }
     if (!conn.ops.empty()) schedule(conn);
+    // The flush may have drained a connection paused at the output cap
+    // without any socket event left to resume it.
+    if (conn.read_paused) connection_readable(conn);
     if ((conn.read_closed || conn.broken) && !conn.task_in_flight &&
         conn.ops.empty() && conn.woff >= conn.wbuf.size()) {
       close_connection(conn.id);
@@ -509,12 +613,18 @@ void Server::worker_main() {
     Completion completion;
     completion.conn_id = task.conn->id;
     completion.bytes = execute(task);
+    bool first = false;
     {
       const util::MutexLock lock(completion_mu_);
+      first = completions_.empty();
       completions_.push_back(std::move(completion));
     }
-    const std::uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+    // One wake per drain: the loop swaps out the whole queue, so only the
+    // push that found it empty owes a wake; later pushes ride on that one.
+    if (first) {
+      const std::uint64_t one = 1;
+      [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+    }
   }
 }
 
@@ -526,19 +636,10 @@ std::vector<std::uint8_t> Server::execute(Task& task) {
 
 void Server::execute_op(Connection& conn, OpItem& op,
                         std::vector<std::uint8_t>& out) {
-  std::vector<std::uint8_t> payload;
-  const auto finish = [&] {
-    encode_header(out, op.opcode | kReplyBit, op.request_id,
-                  static_cast<std::uint32_t>(payload.size()));
-    out.insert(out.end(), payload.begin(), payload.end());
-    frames_out_.fetch_add(1, std::memory_order_relaxed);
-  };
+  Reply reply(*this, out, op);
   const auto error_reply = [&](WireStatus status, std::string_view message) {
-    payload.clear();
-    WireWriter w(payload);
-    w.u8(static_cast<std::uint8_t>(status));
-    w.str(message);
-    finish();
+    reply.error(status, message);
+    reply.finish();
   };
 
   switch (op.admission) {
@@ -566,29 +667,12 @@ void Server::execute_op(Connection& conn, OpItem& op,
     }
   } slot{this, op.is_solve};
 
-  const auto expired = [&] {
-    // >= : a reply landing exactly at the deadline is already late, and a
-    // coarse clock tick would otherwise let a 1 ms budget never expire.
-    return op.has_deadline && Clock::now() >= op.deadline;
-  };
-  // Solve replies enforce the deadline at reply-enqueue time: encoding a
-  // large ring can itself overrun a tight budget, and what the client
-  // observes is when the reply is enqueued, not when the solve finished.
-  // An expired kOk payload is replaced by kTimeout and counted.
-  const auto finish_solve = [&] {
-    if (expired()) {
-      timeouts_.fetch_add(1, std::memory_order_relaxed);
-      error_reply(WireStatus::kTimeout, "solve exceeded the deadline");
-      return;
-    }
-    finish();
-  };
   if (op.is_solve) {
     if (options_.debug_solve_delay_ms > 0) {
       std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
           options_.debug_solve_delay_ms));
     }
-    if (expired()) {  // spent its deadline waiting in the queue
+    if (op.expired()) {  // spent its deadline waiting in the queue
       timeouts_.fetch_add(1, std::memory_order_relaxed);
       error_reply(WireStatus::kTimeout, "request expired in queue");
       return;
@@ -599,6 +683,11 @@ void Server::execute_op(Connection& conn, OpItem& op,
   try {
     switch (static_cast<Op>(op.opcode)) {
       case Op::kSolve: {
+        if (op.missed_key) {  // decoded and probed on the loop already
+          finish_solve(reply, op, engine_->compute_and_fill(*op.missed_key),
+                       op.want_ring);
+          return;
+        }
         service::EmbedRequest request;
         bool want_ring = true;
         if (!decode_request(op.payload, &request, &want_ring)) {
@@ -606,13 +695,9 @@ void Server::execute_op(Connection& conn, OpItem& op,
           error_reply(WireStatus::kBadFrame, "malformed solve payload");
           return;
         }
-        const service::EmbedResponse response =
-            fabric_ ? fabric_->query(request) : engine_->query(request);
-        solves_.fetch_add(1, std::memory_order_relaxed);
-        WireWriter w(payload);
-        w.u8(static_cast<std::uint8_t>(WireStatus::kOk));
-        encode_embed(w, response, want_ring);
-        finish_solve();  // deadline enforced as the reply is enqueued
+        finish_solve(reply, op,
+                     fabric_ ? fabric_->query(request) : engine_->query(request),
+                     want_ring);
         return;
       }
       case Op::kSessionConfig: {
@@ -636,9 +721,8 @@ void Server::execute_op(Connection& conn, OpItem& op,
         conn.cfg_kind = static_cast<service::FaultKind>(kind);
         conn.cfg_strategy = static_cast<service::Strategy>(strategy);
         conn.session_configured = true;
-        WireWriter w(payload);
-        w.u8(static_cast<std::uint8_t>(WireStatus::kOk));
-        finish();
+        reply.ok();
+        reply.finish();
         return;
       }
       case Op::kFaultAdd:
@@ -665,10 +749,8 @@ void Server::execute_op(Connection& conn, OpItem& op,
         const bool changed = static_cast<Op>(op.opcode) == Op::kFaultAdd
                                  ? conn.session->add_fault(fk, word)
                                  : conn.session->clear_fault(fk, word);
-        WireWriter w(payload);
-        w.u8(static_cast<std::uint8_t>(WireStatus::kOk));
-        w.u8(changed ? 1 : 0);
-        finish();
+        reply.ok().u8(changed ? 1 : 0);
+        reply.finish();
         return;
       }
       case Op::kFaultReset: {
@@ -683,9 +765,8 @@ void Server::execute_op(Connection& conn, OpItem& op,
           return;
         }
         if (conn.session) conn.session->reset_faults();
-        WireWriter w(payload);
-        w.u8(static_cast<std::uint8_t>(WireStatus::kOk));
-        finish();
+        reply.ok();
+        reply.finish();
         return;
       }
       case Op::kSessionSolve: {
@@ -705,12 +786,7 @@ void Server::execute_op(Connection& conn, OpItem& op,
               session_engine(conn.cfg_base, conn.cfg_n), conn.cfg_base,
               conn.cfg_n, conn.cfg_kind, conn.cfg_strategy);
         }
-        const service::EmbedResponse response = conn.session->current_ring();
-        solves_.fetch_add(1, std::memory_order_relaxed);
-        WireWriter w(payload);
-        w.u8(static_cast<std::uint8_t>(WireStatus::kOk));
-        encode_embed(w, response, ring != 0);
-        finish_solve();  // deadline enforced as the reply is enqueued
+        finish_solve(reply, op, conn.session->current_ring(), ring != 0);
         return;
       }
       case Op::kStats: {
@@ -760,10 +836,8 @@ void Server::execute_op(Connection& conn, OpItem& op,
             stats.fabric.shards.push_back(ws);
           }
         }
-        WireWriter w(payload);
-        w.u8(static_cast<std::uint8_t>(WireStatus::kOk));
-        encode_stats(w, stats);
-        finish();
+        encode_stats(reply.ok(), stats);
+        reply.finish();
         return;
       }
     }
@@ -773,6 +847,21 @@ void Server::execute_op(Connection& conn, OpItem& op,
   } catch (const std::exception& e) {
     error_reply(WireStatus::kInternal, e.what());
   }
+}
+
+void Server::finish_solve(Reply& reply, const OpItem& op,
+                          const service::EmbedResponse& response,
+                          bool want_ring) {
+  solves_.fetch_add(1, std::memory_order_relaxed);
+  encode_embed(reply.ok(), response, want_ring);
+  // The deadline is enforced as the reply is encoded: encoding a large ring
+  // can itself overrun a tight budget, and what the client observes is when
+  // the reply is enqueued, not when the solve finished.
+  if (op.expired()) {
+    timeouts_.fetch_add(1, std::memory_order_relaxed);
+    reply.error(WireStatus::kTimeout, "solve exceeded the deadline");
+  }
+  reply.finish();
 }
 
 }  // namespace dbr::net

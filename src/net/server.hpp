@@ -5,19 +5,26 @@
 ///
 /// Layering (the DAOS client/cart/engine split, scaled to one process):
 ///
-///   net::Client ── TCP ──> epoll event loop ──> worker pool ──> EmbedEngine
-///        (wire.hpp frames)   (frame I/O only)    (decode+solve)   (service/)
+///   net::Client ── TCP ──> epoll event loop ──────> worker pool ──> EmbedEngine
+///        (wire.hpp frames)   (frame I/O, cached       (misses,        (service/)
+///                             stateless solves)        session ops)
 ///
 /// One nonblocking epoll loop thread owns the listener and every
 /// connection's socket, read buffer and write buffer; it parses frames
-/// (net/wire.hpp) and enqueues decoded-but-unparsed ops per connection.
-/// Ops execute on a small worker pool, strictly in order within one
-/// connection (an EmbedSession is single-threaded state) and concurrently
-/// across connections: while one connection's task is in flight its later
-/// ops queue up and ship as the next task, so a pipelining client amortizes
+/// (net/wire.hpp) and enqueues ops per connection. A stateless kSolve with
+/// nothing ahead of it on its connection is decoded, canonicalized and
+/// probed against the engine's lock-free result cache right on the loop:
+/// a hit is encoded straight into the write buffer and never leaves the
+/// loop thread. Everything else — result-cache misses (which carry their
+/// decoded CacheKey, so the worker neither decodes nor probes again),
+/// session ops, STATS, and any op queued behind in-flight work — executes
+/// on a small worker pool, strictly in order within one connection (an
+/// EmbedSession is single-threaded state) and concurrently across
+/// connections: while one connection's task is in flight its later ops
+/// queue up and ship as the next task, so a pipelining client amortizes
 /// the loop<->pool handoff over whole bursts. Workers never touch sockets;
-/// they post encoded reply bytes back through a completion queue and an
-/// eventfd wake.
+/// they post encoded reply bytes back through a completion queue, waking
+/// the loop through an eventfd once per drain of that queue.
 ///
 /// Production concerns are first-class states of the loop, not add-ons:
 ///  * admission control — solve ops beyond `max_pending` are answered
@@ -25,6 +32,10 @@
 ///    order, so replies never reorder within a connection);
 ///  * per-request timeouts — an op past its deadline answers kTimeout, both
 ///    when it expires while queued and when the solve itself overruns;
+///  * bounded output — while a connection's unflushed reply bytes exceed a
+///    fixed cap, the loop stops reading its requests (EPOLLIN disarmed) and
+///    resumes once the peer has drained them below the cap, so a client
+///    that pipelines and never reads cannot grow server memory;
 ///  * graceful drain — drain() (or SIGTERM via the embed_server binary)
 ///    closes the listener, answers new work kShuttingDown, finishes every
 ///    admitted op, flushes every write buffer, then stops the loop and
@@ -71,6 +82,8 @@ struct ServerOptions {
   /// Admission bound: solve ops admitted (queued or executing) beyond this
   /// are rejected with WireStatus::kOverloaded. Fault/stats ops bypass the
   /// bound (they are O(1) and keep sessions inspectable under overload).
+  /// A result-cache hit answered on the event loop releases its slot before
+  /// the next frame is read, so loop-served hits never occupy a slot.
   std::size_t max_pending = 1024;
   /// Per-request deadline in milliseconds, measured from frame arrival.
   /// An op at or past its deadline answers kTimeout — checked when a
@@ -80,9 +93,10 @@ struct ServerOptions {
   double request_timeout_ms = 0.0;
   /// Connections beyond this are accepted and immediately closed.
   std::size_t max_connections = 4096;
-  /// Test hook: every solve op sleeps this long before executing, making
-  /// queue buildup (backpressure, queue-expiry timeouts, drain-in-flight)
-  /// deterministic in tests and CI. 0 in production.
+  /// Test hook: every solve op executed on a worker sleeps this long first,
+  /// making queue buildup (backpressure, queue-expiry timeouts,
+  /// drain-in-flight) deterministic in tests and CI. Result-cache hits
+  /// answered on the event loop are not delayed. 0 in production.
   double debug_solve_delay_ms = 0.0;
 };
 
@@ -109,7 +123,10 @@ struct ServerStats {
 /// ShardRouter::query (consistent-hash placement, hot-key replicas),
 /// sessions bind to the engine owning their configured instance, and the
 /// STATS op reports the per-shard engine snapshots summed plus the
-/// versioned fabric section (per-shard counters, remap cost).
+/// versioned fabric section (per-shard counters, remap cost). Every fabric
+/// solve executes on a worker — none is answered on the loop — because the
+/// router's per-key read counts drive hot-key replication and must see
+/// every read.
 class Server {
  public:
   explicit Server(service::EmbedEngine& engine, ServerOptions options = {});
@@ -157,13 +174,19 @@ class Server {
   struct OpItem;
   struct Task;
   struct Completion;
+  class Reply;
 
   void loop();
   void worker_main();
   void accept_ready();
   void connection_readable(Connection& conn);
-  void connection_writable(Connection& conn);
+  /// Hands every complete buffered frame to enqueue_frame; false (stop
+  /// reading) on an unframeable stream or at the output cap.
+  bool parse_frames(Connection& conn);
   void enqueue_frame(Connection& conn, Frame frame);
+  /// Loop-thread result-cache probe of an admitted stateless kSolve; true
+  /// when the hit was answered into conn.wbuf.
+  bool answer_on_loop(Connection& conn, OpItem& op);
   void schedule(Connection& conn);
   void flush(Connection& conn);
   void close_connection(std::uint64_t id);
@@ -173,6 +196,10 @@ class Server {
   /// Executes one op batch on a worker; returns the encoded reply bytes.
   std::vector<std::uint8_t> execute(Task& task);
   void execute_op(Connection& conn, OpItem& op, std::vector<std::uint8_t>& out);
+  /// Encodes a kOk solve reply, swapped for kTimeout when `op` is past its
+  /// deadline once the reply is encoded.
+  void finish_solve(Reply& reply, const OpItem& op,
+                    const service::EmbedResponse& response, bool want_ring);
   /// The engine a session for instance (base, n) binds to: the fabric's
   /// owning shard in fabric mode, the single engine otherwise.
   service::EmbedEngine& session_engine(Digit base, unsigned n);

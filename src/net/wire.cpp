@@ -84,6 +84,12 @@ void encode_header(std::vector<std::uint8_t>& out, std::uint8_t opcode,
   w.u32(payload_len);
 }
 
+void patch_payload_len(std::vector<std::uint8_t>& out, std::size_t frame_start) {
+  const std::size_t len = out.size() - frame_start - kHeaderSize;
+  for (std::size_t i = 0; i < 4; ++i)
+    out[frame_start + 12 + i] = static_cast<std::uint8_t>(len >> (8 * i));
+}
+
 // --- reader / writer --------------------------------------------------------
 
 bool WireReader::take(std::size_t count, const std::uint8_t** p) {

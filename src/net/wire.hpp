@@ -110,6 +110,11 @@ std::optional<FrameHeader> decode_header(std::span<const std::uint8_t> bytes,
 void encode_header(std::vector<std::uint8_t>& out, std::uint8_t opcode,
                    std::uint32_t request_id, std::uint32_t payload_len);
 
+/// Sets the payload length of the frame whose header starts at
+/// `frame_start` in `out` to every byte after that header — for encoders
+/// that write the header first and the payload in place behind it.
+void patch_payload_len(std::vector<std::uint8_t>& out, std::size_t frame_start);
+
 /// Bounds-checked little-endian reader over one payload. All accessors
 /// return zero values once the reader has failed; check ok() (and
 /// exhausted() for trailing garbage) after the last field.

@@ -304,27 +304,31 @@ std::shared_ptr<const EmbedResult> EmbedEngine::compute_uncached(
   return compute(canonical_key(request), nullptr);
 }
 
-EmbedResponse EmbedEngine::serve_computed(const CacheKey& key,
-                                          bool* context_hit,
-                                          const core::InstanceContext* pinned) {
+std::optional<EmbedResponse> EmbedEngine::probe(const CacheKey& key) {
   const Clock::time_point start = Clock::now();
+  // The query is counted before its hit (stats_snapshot reads them in the
+  // reverse order).
   queries_.fetch_add(1, std::memory_order_relaxed);
+  if (!options_.enable_cache) return std::nullopt;
+  std::shared_ptr<const EmbedResult> hit = cache_->get(key);
+  if (!hit) return std::nullopt;
+  result_hits_.fetch_add(1, std::memory_order_relaxed);
   EmbedResponse response;
-  if (options_.enable_cache) {
-    if (std::shared_ptr<const EmbedResult> hit = cache_->get(key)) {
-      result_hits_.fetch_add(1, std::memory_order_relaxed);
-      response.result = std::move(hit);
-      response.cache_hit = true;
-      response.latency_micros = micros_since(start);
-      return response;
-    }
-  }
+  response.result = std::move(hit);
+  response.cache_hit = true;
+  response.latency_micros = micros_since(start);
+  return response;
+}
+
+EmbedResponse EmbedEngine::compute_and_fill(const CacheKey& key,
+                                            const core::InstanceContext* pinned) {
+  const Clock::time_point start = Clock::now();
+  EmbedResponse response;
   bool ctx_hit = false;
   std::shared_ptr<const EmbedResult> computed = compute(key, &ctx_hit, pinned);
   (ctx_hit ? context_hits_ : context_misses_)
       .fetch_add(1, std::memory_order_relaxed);
   response.context_cache_hit = ctx_hit;
-  if (context_hit != nullptr) *context_hit = ctx_hit;
   // Only deterministic answers are cacheable: bad requests fail fast and
   // internal errors may be transient (memory pressure, library bugs).
   if (options_.enable_cache && (computed->status == EmbedStatus::kOk ||
@@ -337,7 +341,9 @@ EmbedResponse EmbedEngine::serve_computed(const CacheKey& key,
 }
 
 EmbedResponse EmbedEngine::query(const EmbedRequest& request) {
-  return serve_computed(canonical_key(request), nullptr, nullptr);
+  const CacheKey key = canonical_key(request);
+  if (std::optional<EmbedResponse> hit = probe(key)) return std::move(*hit);
+  return compute_and_fill(key);
 }
 
 EmbedResponse EmbedEngine::query_with_context(
@@ -345,7 +351,8 @@ EmbedResponse EmbedEngine::query_with_context(
   require(context != nullptr, "query_with_context requires a context");
   require(context->base() == key.base && context->words().length() == key.n,
           "pinned context does not match the request instance");
-  return serve_computed(key, nullptr, context.get());
+  if (std::optional<EmbedResponse> hit = probe(key)) return std::move(*hit);
+  return compute_and_fill(key, context.get());
 }
 
 std::vector<EmbedResponse> EmbedEngine::query_batch(

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -94,9 +95,25 @@ class EmbedEngine {
  public:
   explicit EmbedEngine(EngineOptions options = {});
 
-  /// Serves one query. Thread-safe; the hot (hit) path is one hash plus one
-  /// shard lock.
+  /// Serves one query: probe() then, on a miss, compute_and_fill().
+  /// Thread-safe; the hot (hit) path is one hash plus one lock-free
+  /// snapshot lookup.
   EmbedResponse query(const EmbedRequest& request);
+
+  /// First half of a query: counts it and probes the result cache for the
+  /// canonical `key`. A hit is counted in result_hits and returned with
+  /// cache_hit set; a miss returns nullopt and is finished by exactly one
+  /// compute_and_fill() of the same key, so every query is probed and
+  /// counted once. Lock-free (the cache's RCU read path), which is what
+  /// lets net::Server answer hits on its event loop.
+  std::optional<EmbedResponse> probe(const CacheKey& key);
+
+  /// Second half of a query: computes the canonical `key` that probe() just
+  /// missed and fills the result cache with a deterministic answer. Never
+  /// probes again. A non-null `pinned` context replaces the context-cache
+  /// lookup (the query_with_context path).
+  EmbedResponse compute_and_fill(const CacheKey& key,
+                                 const core::InstanceContext* pinned = nullptr);
 
   /// Serves one canonical query against a caller-pinned context, bypassing
   /// the context cache but still consulting/filling the result cache. The
@@ -149,8 +166,6 @@ class EmbedEngine {
   std::shared_ptr<const EmbedResult> compute(
       const CacheKey& key, bool* context_hit,
       const core::InstanceContext* pinned = nullptr) const;
-  EmbedResponse serve_computed(const CacheKey& key, bool* context_hit,
-                               const core::InstanceContext* pinned);
 
   EngineOptions options_;
   std::unique_ptr<ShardedLruCache> cache_;
