@@ -13,7 +13,15 @@ namespace dbr::butterfly {
 NodeId partition_node(const ButterflyDigraph& bf, Word x, unsigned i);
 
 /// Lemma 3.9's cycle lift Phi: a k-cycle (v_0, ..., v_{k-1}) in B(d,n) maps
-/// to the LCM(k,n)-cycle (S_{v_0}^0, S_{v_1}^1, ...) in F(d,n).
+/// to the LCM(k,n)-cycle (S_{v_0}^0, S_{v_1}^1, ...) in F(d,n). Entry i
+/// equals partition_node(bf, v_(i mod k), i mod n); consecutive entries
+/// differ in one column digit, so each costs one multiply-add.
+/// Throws precondition_error on an empty cycle or a symbol >= d.
+std::vector<NodeId> lift_cycle(const ButterflyDigraph& bf, const SymbolCycle& c);
+
+/// The same lift from a node sequence, which must be a closed walk of
+/// B(d,n) with every word in range (precondition_error otherwise); forwards
+/// to the SymbolCycle overload.
 std::vector<NodeId> lift_cycle(const ButterflyDigraph& bf, const NodeCycle& c);
 
 /// Pulls a butterfly edge back to the De Bruijn edge it implements

@@ -34,14 +34,13 @@ std::optional<std::vector<NodeId>> butterfly_fault_free_hc(
   const auto hc =
       fault_free_hamiltonian_cycle(ws.radix(), ws.length(), debruijn_faults);
   if (!hc.has_value()) return std::nullopt;
-  return butterfly::lift_cycle(bf, to_node_cycle(ws, *hc));
+  return butterfly::lift_cycle(bf, *hc);
 }
 
 std::optional<std::vector<NodeId>> solve_butterfly(
     const InstanceContext& ctx,
     std::span<const std::pair<NodeId, NodeId>> faulty_edges) {
   const ButterflyDigraph& bf = ctx.butterfly();  // requires gcd(d, n) = 1
-  const WordSpace& ws = bf.columns();
   std::vector<Word> debruijn_faults;
   debruijn_faults.reserve(faulty_edges.size());
   for (const auto& [u, v] : faulty_edges) {
@@ -49,7 +48,7 @@ std::optional<std::vector<NodeId>> solve_butterfly(
   }
   const auto hc = solve_edge_auto(ctx, debruijn_faults);
   if (!hc.has_value()) return std::nullopt;
-  return butterfly::lift_cycle(bf, to_node_cycle(ws, *hc));
+  return butterfly::lift_cycle(bf, *hc);
 }
 
 std::vector<std::vector<NodeId>> butterfly_disjoint_hcs(const ButterflyDigraph& bf) {
@@ -57,7 +56,7 @@ std::vector<std::vector<NodeId>> butterfly_disjoint_hcs(const ButterflyDigraph& 
   const WordSpace& ws = bf.columns();
   std::vector<std::vector<NodeId>> out;
   for (const SymbolCycle& hc : disjoint_hamiltonian_cycles(ws.radix(), ws.length())) {
-    out.push_back(butterfly::lift_cycle(bf, to_node_cycle(ws, hc)));
+    out.push_back(butterfly::lift_cycle(bf, hc));
   }
   return out;
 }

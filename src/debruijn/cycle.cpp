@@ -18,10 +18,21 @@ Word window_at(const WordSpace& ws, const SymbolCycle& c, std::size_t i) {
 }
 
 NodeCycle to_node_cycle(const WordSpace& ws, const SymbolCycle& c) {
+  const std::size_t k = c.symbols.size();
   NodeCycle out;
-  out.nodes.reserve(c.symbols.size());
-  for (std::size_t i = 0; i < c.symbols.size(); ++i) {
-    out.nodes.push_back(window_at(ws, c, i));
+  if (k == 0) return out;
+  out.nodes.resize(k);
+  // Each window is its predecessor shifted by one digit: drop s_i from the
+  // front, append s_(i+n) at the back. (x - s_i d^(n-1)) d + s_(i+n) is
+  // written as x d + (s_(i+n) - s_i d^n), so only one multiply-add depends
+  // on the previous window; the bracket wraps mod 2^64 and the sum lands
+  // back in range (x d < d^(n+1), which WordSpace guarantees fits).
+  Word x = window_at(ws, c, 0);
+  std::size_t ahead = ws.length() % k;  // index of s_(i+n) mod k
+  for (std::size_t i = 0; i < k; ++i) {
+    out.nodes[i] = x;
+    x = x * ws.radix() + (c.symbols[ahead] - c.symbols[i] * ws.size());
+    if (++ahead == k) ahead = 0;
   }
   return out;
 }

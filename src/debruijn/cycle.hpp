@@ -32,7 +32,9 @@ struct SymbolCycle {
 /// Node at position i of the symbol cycle: the length-n window starting at i.
 Word window_at(const WordSpace& ws, const SymbolCycle& c, std::size_t i);
 
-/// Expands a symbol cycle to its node sequence.
+/// Expands a symbol cycle to its node sequence: node i equals
+/// window_at(ws, c, i), each derived from the previous one by a one-digit
+/// shift.
 NodeCycle to_node_cycle(const WordSpace& ws, const SymbolCycle& c);
 
 /// Collapses a node cycle to symbols (c_i = first digit of v_i).

@@ -13,7 +13,8 @@
 /// connection's socket, read buffer and write buffer; it parses frames
 /// (net/wire.hpp) and enqueues ops per connection. A stateless kSolve with
 /// nothing ahead of it on its connection is decoded, canonicalized and
-/// probed against the engine's lock-free result cache right on the loop:
+/// probed against the engine's result cache right on the loop (one O(1)
+/// lookup under a shard mutex that fills also hold only for O(1) work):
 /// a hit is encoded straight into the write buffer and never leaves the
 /// loop thread. Everything else — result-cache misses (which carry their
 /// decoded CacheKey, so the worker neither decodes nor probes again),

@@ -13,6 +13,16 @@ constexpr std::uint8_t kMaxStrategy =
 constexpr std::uint8_t kMaxEmbedStatus =
     static_cast<std::uint8_t>(service::EmbedStatus::kInternalError);
 
+std::uint64_t load_le64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) v = v << 8 | p[i];
+  return v;
+}
+
+void store_le64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
 }  // namespace
 
 bool valid_op(std::uint8_t raw) {
@@ -127,9 +137,7 @@ std::uint32_t WireReader::u32() {
 std::uint64_t WireReader::u64() {
   const std::uint8_t* p = nullptr;
   if (!take(8, &p)) return 0;
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = v << 8 | p[i];
-  return v;
+  return load_le64(p);
 }
 
 double WireReader::f64() {
@@ -148,15 +156,16 @@ std::string WireReader::str() {
 
 std::vector<Word> WireReader::words() {
   const std::uint32_t count = u32();
-  // Validate against the remaining payload *before* reserving: a hostile
-  // count must not drive an allocation it cannot back with bytes.
-  if (!ok_ || bytes_.size() - pos_ < static_cast<std::size_t>(count) * 8) {
-    ok_ = false;
-    return {};
+  // take() validates against the remaining payload *before* the vector is
+  // sized: a hostile count must not drive an allocation it cannot back
+  // with bytes.
+  const std::uint8_t* p = nullptr;
+  if (!take(static_cast<std::size_t>(count) * 8, &p)) return {};
+  std::vector<Word> out(count);
+  for (Word& w : out) {
+    w = load_le64(p);
+    p += 8;
   }
-  std::vector<Word> out;
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) out.push_back(u64());
   return out;
 }
 
@@ -171,8 +180,9 @@ void WireWriter::u32(std::uint32_t v) {
 }
 
 void WireWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out_->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  const std::size_t at = out_->size();
+  out_->resize(at + 8);
+  store_le64(out_->data() + at, v);
 }
 
 void WireWriter::f64(double v) {
@@ -188,7 +198,14 @@ void WireWriter::str(std::string_view s) {
 
 void WireWriter::words(std::span<const Word> ws) {
   u32(static_cast<std::uint32_t>(ws.size()));
-  for (Word w : ws) u64(w);
+  // One resize for the whole ring, then each word's 8 little-endian bytes.
+  const std::size_t at = out_->size();
+  out_->resize(at + 8 * ws.size());
+  std::uint8_t* p = out_->data() + at;
+  for (Word w : ws) {
+    store_le64(p, w);
+    p += 8;
+  }
 }
 
 // --- FaultSet ---------------------------------------------------------------

@@ -93,49 +93,41 @@ ShardedLruCache::Shard& ShardedLruCache::shard_for(const CacheKey& key) {
 
 std::shared_ptr<const EmbedResult> ShardedLruCache::get(const CacheKey& key) {
   Shard& shard = shard_for(key);
-  // Read side: resolve against the published snapshot only. The shared
-  // Entry lets the hit refresh recency with one relaxed atomic store — the
-  // eviction scan under the writer mutex reads the same atomic, so exact
-  // LRU order survives without the reader ever taking that mutex.
-  if (const util::RcuSnapshot<Shard::Map>::ReadGuard snap{shard.snapshot}) {
-    const auto it = snap->find(key);
-    if (it != snap->end()) {
-      it->second->last_used.store(
-          shard.tick.fetch_add(1, std::memory_order_relaxed) + 1,
-          std::memory_order_relaxed);
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
-      return it->second->value;
-    }
+  const util::MutexLock lock(shard.mu);
+  const auto it = shard.index.find(key);
+  if (it == shard.index.end()) {
+    ++shard.misses;
+    return nullptr;
   }
-  shard.misses.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  ++shard.hits;
+  return it->second->second;
 }
 
 void ShardedLruCache::put(const CacheKey& key,
                           std::shared_ptr<const EmbedResult> value) {
   Shard& shard = shard_for(key);
+  // Declared before the lock, so the displaced or evicted value is
+  // released after the unlock.
+  std::shared_ptr<const EmbedResult> released;
   const util::MutexLock lock(shard.mu);
-  // Insert or refresh with a *new* Entry (RCU: readers of the displaced
-  // entry — still reachable through older snapshots — are undisturbed).
-  shard.index[key] = std::make_shared<Entry>(
-      std::move(value), shard.tick.fetch_add(1, std::memory_order_relaxed) + 1);
-  if (shard.index.size() > shard.capacity) {
-    // Evict the minimum recency tick: ticks are unique per shard, so this
-    // is exactly the victim a recency list would name, and the entry just
-    // written holds the maximum tick — never its own victim.
-    auto victim = shard.index.begin();
-    std::uint64_t oldest = ~std::uint64_t{0};
-    for (auto it = shard.index.begin(); it != shard.index.end(); ++it) {
-      const std::uint64_t t = it->second->last_used.load(std::memory_order_relaxed);
-      if (t < oldest) {
-        oldest = t;
-        victim = it;
-      }
-    }
-    shard.index.erase(victim);
-    shard.evictions.fetch_add(1, std::memory_order_relaxed);
+  if (const auto it = shard.index.find(key); it != shard.index.end()) {
+    released = std::exchange(it->second->second, std::move(value));
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    return;
   }
-  shard.snapshot.publish(std::make_shared<const Shard::Map>(shard.index));
+  // Built aside and spliced in (which cannot throw), so a failed
+  // allocation leaves the list and the index as they were.
+  Shard::Lru node;
+  node.emplace_back(nullptr, std::move(value));
+  node.front().first = &shard.index.emplace(key, node.begin()).first->first;
+  shard.lru.splice(shard.lru.begin(), node);
+  if (shard.index.size() > shard.capacity) {
+    released = std::move(shard.lru.back().second);
+    shard.index.erase(shard.index.find(*shard.lru.back().first));
+    shard.lru.pop_back();
+    ++shard.evictions;
+  }
 }
 
 void ShardedLruCache::clear() {
@@ -143,12 +135,13 @@ void ShardedLruCache::clear() {
   // hit/miss/eviction counters reset, so post-clear stats are attributable
   // to post-clear traffic.
   for (auto& shard : shards_) {
+    Shard::Lru released;  // declared before the lock: freed after the unlock
     const util::MutexLock lock(shard->mu);
     shard->index.clear();
-    shard->snapshot.publish(nullptr);
-    shard->hits.store(0, std::memory_order_relaxed);
-    shard->misses.store(0, std::memory_order_relaxed);
-    shard->evictions.store(0, std::memory_order_relaxed);
+    released.swap(shard->lru);
+    shard->hits = 0;
+    shard->misses = 0;
+    shard->evictions = 0;
   }
 }
 
@@ -164,10 +157,10 @@ std::size_t ShardedLruCache::size() const {
 CacheStats ShardedLruCache::stats() const {
   CacheStats out;
   for (const auto& shard : shards_) {
-    out.hits += shard->hits.load(std::memory_order_relaxed);
-    out.misses += shard->misses.load(std::memory_order_relaxed);
-    out.evictions += shard->evictions.load(std::memory_order_relaxed);
     const util::MutexLock lock(shard->mu);
+    out.hits += shard->hits;
+    out.misses += shard->misses;
+    out.evictions += shard->evictions;
     out.entries += shard->index.size();
   }
   return out;

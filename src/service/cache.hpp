@@ -1,14 +1,14 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "service/types.hpp"
-#include "util/rcu_snapshot.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace dbr::service {
@@ -60,28 +60,24 @@ struct CacheStats {
 /// shared_ptrs: a get() returns the exact object a put() stored, so cached
 /// answers are bit-identical to the original computation.
 ///
-/// The hit path is read-side lock-free (RCU): each shard publishes an
-/// immutable snapshot of its map through a util::RcuSnapshot cell, and
-/// get() resolves keys against the snapshot without ever taking the shard
-/// mutex (wait-free: two counter bumps and one pointer load).
-/// LRU recency is kept *exact* without a mutex either — every entry carries
-/// an atomic last-used tick that the hit stores into, and eviction (under
-/// the writer mutex) scans for the minimum tick, which names the same
-/// victim a recency list would. Writers (put/clear) serialize on the shard
-/// mutex, mutate the authoritative map, and publish a fresh snapshot;
-/// in-flight readers keep the old snapshot alive until they drop it.
+/// Each shard is the textbook exact LRU under its own mutex: a recency list
+/// (most recent first) plus a hash index of list positions. get() is one
+/// lookup and one splice to the front; put() inserts or refreshes in place
+/// and pops the list tail when the shard is over capacity, so every
+/// operation is O(1) whatever the fill. A displaced or evicted value (one
+/// ring can be 256 KiB) is released after the shard mutex is dropped.
 class ShardedLruCache {
  public:
   /// `capacity` is the total entry budget, split evenly across shards
   /// (at least one entry per shard). `shard_count` >= 1.
   explicit ShardedLruCache(std::size_t capacity, std::size_t shard_count = 16);
 
-  /// Returns the cached value and refreshes its LRU recency, or nullptr.
-  /// Lock-free: touches only the shard's published snapshot and atomics.
+  /// Returns the cached value and makes it the shard's most recent entry,
+  /// or nullptr.
   std::shared_ptr<const EmbedResult> get(const CacheKey& key);
 
-  /// Inserts or refreshes `key`, evicting the shard's least-recently-used
-  /// entry if full, and publishes the shard's next read snapshot.
+  /// Inserts or refreshes `key` as the shard's most recent entry, evicting
+  /// the shard's least-recently-used entry if full.
   void put(const CacheKey& key, std::shared_ptr<const EmbedResult> value);
 
   void clear();
@@ -90,40 +86,24 @@ class ShardedLruCache {
   std::size_t shard_count() const { return shards_.size(); }
   std::size_t size() const;
 
-  /// Aggregated over shards from the atomic counters; counters may be
-  /// mid-update, so totals are approximate under concurrent traffic.
+  /// Summed over shards; each shard's counters are read under its mutex.
   CacheStats stats() const;
 
  private:
-  /// One cached value plus its recency tick. Shared between the
-  /// authoritative map and every published snapshot, so a lock-free hit
-  /// can refresh recency in place; `value` is immutable after construction
-  /// (a put-refresh installs a *new* Entry rather than mutating this one).
-  struct Entry {
-    Entry(std::shared_ptr<const EmbedResult> v, std::uint64_t t)
-        : value(std::move(v)), last_used(t) {}
-
-    std::shared_ptr<const EmbedResult> value;
-    std::atomic<std::uint64_t> last_used;
-  };
-
   struct Shard {
-    using Map =
-        std::unordered_map<CacheKey, std::shared_ptr<Entry>, CacheKeyHash>;
+    /// Recency order, most recent first. Each node points at its key in
+    /// `index`, whose nodes never move.
+    using Lru =
+        std::list<std::pair<const CacheKey*, std::shared_ptr<const EmbedResult>>>;
 
-    /// The read path: an immutable map published by the last writer.
-    /// Readers pin it with a ReadGuard; retired snapshots are reclaimed
-    /// by later writers once the guards drain (see util/rcu_snapshot.hpp).
-    util::RcuSnapshot<Map> snapshot;
-    mutable util::Mutex mu;  ///< writers only (put/clear)
-    /// Authoritative map; the annotation makes every unlocked touch a
-    /// compile error under -Wthread-safety.
-    Map index DBR_GUARDED_BY(mu);
+    mutable util::Mutex mu;
+    Lru lru DBR_GUARDED_BY(mu);
+    std::unordered_map<CacheKey, Lru::iterator, CacheKeyHash> index
+        DBR_GUARDED_BY(mu);
     std::size_t capacity = 0;  ///< set once at construction, then read-only
-    std::atomic<std::uint64_t> tick{0};  ///< recency clock, one per touch
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> evictions{0};
+    std::uint64_t hits DBR_GUARDED_BY(mu) = 0;
+    std::uint64_t misses DBR_GUARDED_BY(mu) = 0;
+    std::uint64_t evictions DBR_GUARDED_BY(mu) = 0;
   };
 
   Shard& shard_for(const CacheKey& key);

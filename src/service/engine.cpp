@@ -79,10 +79,12 @@ void require_preconditions(const CacheKey& key, const WordSpace& ws) {
   }
 }
 
-/// The fault-dependent solve phase: acquires the instance's shared context
-/// (which may throw for invalid (base, n)) and dispatches the matching
-/// core solve. `acquire` is deferred into the try block so context-build
-/// failures map to the same statuses as before the context/solve split.
+/// The fault-dependent solve phase: checks the preconditions against a bare
+/// WordSpace (which throws for invalid (base, n), as a context build would),
+/// then acquires the instance's shared context and dispatches the matching
+/// core solve. A rejected request therefore never builds a context or
+/// takes a ContextCache slot from a live one. `acquire` runs inside the try
+/// block, so context-build failures map to the same statuses as bad input.
 EmbedResult compute_result(
     const CacheKey& key,
     const std::function<const core::InstanceContext&()>& acquire) {
@@ -90,8 +92,8 @@ EmbedResult compute_result(
   out.strategy_used = key.strategy;
   const Clock::time_point start = Clock::now();
   try {
+    require_preconditions(key, WordSpace(key.base, key.n));
     const core::InstanceContext& ctx = acquire();
-    require_preconditions(key, ctx.words());
 
     switch (key.strategy) {
       case Strategy::kFfc: {
@@ -135,8 +137,7 @@ EmbedResult compute_result(
                       "the strategy's guarantee)";
           break;
         }
-        out.ring.nodes =
-            butterfly::lift_cycle(ctx.butterfly(), to_node_cycle(ctx.words(), *hc));
+        out.ring.nodes = butterfly::lift_cycle(ctx.butterfly(), *hc);
         out.ring_length = out.ring.length();
         out.lower_bound = static_cast<std::uint64_t>(key.n) * ctx.words().size();
         out.upper_bound = out.lower_bound;

@@ -96,16 +96,17 @@ class EmbedEngine {
   explicit EmbedEngine(EngineOptions options = {});
 
   /// Serves one query: probe() then, on a miss, compute_and_fill().
-  /// Thread-safe; the hot (hit) path is one hash plus one lock-free
-  /// snapshot lookup.
+  /// Thread-safe; the hot (hit) path is one hash plus one lookup and one
+  /// recency splice under a result-cache shard mutex.
   EmbedResponse query(const EmbedRequest& request);
 
   /// First half of a query: counts it and probes the result cache for the
   /// canonical `key`. A hit is counted in result_hits and returned with
   /// cache_hit set; a miss returns nullopt and is finished by exactly one
   /// compute_and_fill() of the same key, so every query is probed and
-  /// counted once. Lock-free (the cache's RCU read path), which is what
-  /// lets net::Server answer hits on its event loop.
+  /// counted once. Holds one result-cache shard mutex for O(1) work and
+  /// never computes, which is what lets net::Server answer hits on its
+  /// event loop.
   std::optional<EmbedResponse> probe(const CacheKey& key);
 
   /// Second half of a query: computes the canonical `key` that probe() just

@@ -6,8 +6,10 @@
 #include "butterfly/lift.hpp"
 #include "core/butterfly_embedding.hpp"
 #include "core/disjoint_hc.hpp"
+#include "cycle_corpus.hpp"
 #include "debruijn/debruijn.hpp"
 #include "graph/algorithms.hpp"
+#include "nt/numtheory.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
@@ -136,6 +138,41 @@ TEST(Lift, PullBackInvertsLift) {
         butterfly::pull_back_edge(bf, lifted[i], lifted[(i + 1) % lifted.size()]);
     EXPECT_TRUE(edge_set.contains(w));
   }
+}
+
+TEST(Lift, MatchesThePartitionMapOnTheCorpus) {
+  // lift_cycle overwrites one column digit per step; partition_node
+  // rotates every lifted node from scratch and is the reference.
+  std::size_t cycles = 0;
+  test::for_each_corpus_cycle([&](const WordSpace& ws, const SymbolCycle& c) {
+    if (nt::gcd(ws.radix(), ws.length()) != 1) return;
+    const ButterflyDigraph bf(ws.radix(), ws.length());
+    const NodeCycle nodes = to_node_cycle(ws, c);
+    const std::vector<NodeId> lifted = butterfly::lift_cycle(bf, c);
+    const std::uint64_t k = c.length();
+    const unsigned n = ws.length();
+    ASSERT_EQ(lifted.size(), nt::lcm(k, n));
+    for (std::uint64_t i = 0; i < lifted.size(); ++i) {
+      ASSERT_EQ(lifted[i], butterfly::partition_node(bf, nodes.nodes[i % k],
+                                                     static_cast<unsigned>(i % n)))
+          << "F(" << ws.radix() << "," << n << "), k=" << k << ", index " << i;
+    }
+    EXPECT_EQ(butterfly::lift_cycle(bf, nodes), lifted);
+    ++cycles;
+  });
+  EXPECT_GT(cycles, 1000u);
+}
+
+TEST(Lift, RejectsInputsOutsideBdn) {
+  const ButterflyDigraph bf(3, 4);
+  const WordSpace& ws = bf.columns();
+  EXPECT_THROW((void)butterfly::lift_cycle(bf, NodeCycle{}), precondition_error);
+  EXPECT_THROW((void)butterfly::lift_cycle(bf, SymbolCycle{}), precondition_error);
+  EXPECT_THROW((void)butterfly::lift_cycle(bf, SymbolCycle{{0, 3}}), precondition_error);
+  EXPECT_THROW((void)butterfly::lift_cycle(bf, NodeCycle{{0, ws.size()}}),
+               precondition_error);
+  // 0000 -> 0012 is not a De Bruijn edge, so the nodes form no closed walk.
+  EXPECT_THROW((void)butterfly::lift_cycle(bf, NodeCycle{{0, 5}}), precondition_error);
 }
 
 // --------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "cycle_corpus.hpp"
 #include "debruijn/cycle.hpp"
 #include "debruijn/debruijn.hpp"
 #include "debruijn/necklaces.hpp"
@@ -249,6 +250,23 @@ TEST(Cycles, ShortCycleWrapsWindows) {
   EXPECT_EQ(nodes.nodes[0], ws.from_digits(std::vector<Digit>{0, 1, 0}));
   EXPECT_EQ(nodes.nodes[1], ws.from_digits(std::vector<Digit>{1, 0, 1}));
   EXPECT_TRUE(is_cycle(ws, c));
+}
+
+TEST(Cycles, SlidingWindowsMatchWindowAtOnTheCorpus) {
+  // to_node_cycle derives each node from its predecessor; window_at
+  // assembles every window from scratch and is the reference.
+  std::size_t cycles = 0;
+  test::for_each_corpus_cycle([&](const WordSpace& ws, const SymbolCycle& c) {
+    const NodeCycle nodes = to_node_cycle(ws, c);
+    ASSERT_EQ(nodes.length(), c.length());
+    for (std::size_t i = 0; i < c.length(); ++i) {
+      ASSERT_EQ(nodes.nodes[i], window_at(ws, c, i))
+          << "B(" << ws.radix() << "," << ws.length() << "), k=" << c.length()
+          << ", index " << i;
+    }
+    ++cycles;
+  });
+  EXPECT_GT(cycles, 3000u);
 }
 
 TEST(Cycles, RepeatedWindowIsNotACycle) {

@@ -191,6 +191,50 @@ TEST(WireFuzz, EmbedRoundTripIsBitIdentical) {
   }
 }
 
+TEST(WireGolden, SmallRingReplyBytes) {
+  // Pins the ring codec to its per-word little-endian layout: u32 count,
+  // then each word's 8 bytes, least significant first.
+  auto result = std::make_shared<EmbedResult>();
+  result->status = EmbedStatus::kOk;
+  result->strategy_used = Strategy::kEdgeAuto;
+  result->ring_length = 3;
+  result->lower_bound = 4;
+  result->upper_bound = 0x0102;
+  result->compute_micros = 1.5;  // IEEE bits 0x3ff8000000000000
+  result->ring.nodes = {0x0123456789abcdefull, 1, 0xfe00000000000080ull};
+  EmbedResponse resp;
+  resp.result = result;
+  resp.cache_hit = true;
+  resp.latency_micros = 0.25;  // IEEE bits 0x3fd0000000000000
+
+  const std::vector<std::uint8_t> golden = {
+      0x00, 0x02, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,  // status..reserved
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // ring_length
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // lower_bound
+      0x02, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // upper_bound
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f,  // compute_micros
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f,  // latency_micros
+      0x00, 0x00, 0x00, 0x00,                          // error: empty
+      0x01,                                            // has_ring
+      0x03, 0x00, 0x00, 0x00,                          // word count
+      0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,  // ring[0]
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // ring[1]
+      0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xfe,  // ring[2]
+  };
+  std::vector<std::uint8_t> payload = {0xaa};  // the codec appends
+  WireWriter w(payload);
+  encode_embed(w, resp, /*want_ring=*/true);
+  ASSERT_EQ(payload.size(), 1 + golden.size());
+  EXPECT_EQ(std::vector<std::uint8_t>(payload.begin() + 1, payload.end()), golden);
+
+  WireReader r(golden);
+  WireEmbed back;
+  ASSERT_TRUE(decode_embed(r, &back));
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(back.ring, result->ring.nodes);
+  EXPECT_EQ(back.upper_bound, 0x0102u);
+}
+
 TEST(WireFuzz, FaultSetRoundTrip) {
   std::mt19937_64 rng(20260810);
   for (std::size_t i = 0; i < fuzz_iters(); ++i) {

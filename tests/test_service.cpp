@@ -109,6 +109,52 @@ TEST(ShardedLruCacheTest, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.size(), 2u);
 }
 
+TEST(ShardedLruCacheTest, PutRefreshReplacesTheValueAndMakesTheKeyMostRecent) {
+  ShardedLruCache cache(/*capacity=*/2, /*shard_count=*/1);
+  const CacheKey a = canonical_key(node_request(2, 5, {1}));
+  const CacheKey b = canonical_key(node_request(2, 5, {2}));
+  const CacheKey c = canonical_key(node_request(2, 5, {3}));
+  cache.put(a, make_result(1));
+  cache.put(b, make_result(2));
+  const auto fresh = make_result(10);
+  cache.put(a, fresh);  // refresh: a becomes most recent, b least
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.get(a), fresh);
+  cache.put(c, make_result(3));  // evicts b, not the refreshed a
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.get(b), nullptr);
+  EXPECT_EQ(cache.get(a), fresh);
+  EXPECT_NE(cache.get(c), nullptr);
+}
+
+TEST(ShardedLruCacheTest, DisplacedAndEvictedValuesAreReleased) {
+  ShardedLruCache cache(/*capacity=*/1, /*shard_count=*/1);
+  const CacheKey a = canonical_key(node_request(2, 5, {1}));
+  const CacheKey b = canonical_key(node_request(2, 5, {2}));
+  std::weak_ptr<const EmbedResult> displaced;
+  {
+    auto first = make_result(1);
+    displaced = first;
+    cache.put(a, std::move(first));
+  }
+  {
+    // A caller's reference outlives the displacement; the cache's does not.
+    const auto held = cache.get(a);
+    cache.put(a, make_result(2));
+    EXPECT_FALSE(displaced.expired());
+    EXPECT_EQ(held->ring_length, 1u);
+  }
+  EXPECT_TRUE(displaced.expired());
+  const std::weak_ptr<const EmbedResult> evicted = cache.get(a);
+  cache.put(b, make_result(3));  // capacity 1: evicts a
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_TRUE(evicted.expired());
+  const std::weak_ptr<const EmbedResult> cleared = cache.get(b);
+  cache.clear();
+  EXPECT_TRUE(cleared.expired());
+}
+
 TEST(ShardedLruCacheTest, CapacitySplitsAcrossShards) {
   ShardedLruCache cache(/*capacity=*/64, /*shard_count=*/8);
   EXPECT_EQ(cache.shard_count(), 8u);
@@ -303,6 +349,25 @@ TEST(EmbedEngineTest, InvalidRequestsReportBadRequest) {
             EmbedStatus::kBadRequest);
   // Bad requests are not cached.
   EXPECT_EQ(engine.cache_stats().entries, 0u);
+}
+
+TEST(EmbedEngineTest, RejectedRequestsNeverTouchTheContextCache) {
+  // The preconditions run before the context is acquired, so a rejected
+  // request on a never-seen instance builds nothing and evicts nothing.
+  EmbedEngine engine;
+  const EmbedResponse out_of_range = engine.query(node_request(2, 9, {3, 512}));
+  ASSERT_EQ(out_of_range.result->status, EmbedStatus::kBadRequest);
+  EXPECT_NE(out_of_range.result->error.find("fault word 512 out of range for B(2,9)"),
+            std::string::npos)
+      << out_of_range.result->error;
+  const EmbedResponse mismatch =
+      engine.query(edge_request(2, 9, {1}, Strategy::kFfc));
+  ASSERT_EQ(mismatch.result->status, EmbedStatus::kBadRequest);
+  EXPECT_NE(mismatch.result->error.find("ffc strategy requires node faults"),
+            std::string::npos)
+      << mismatch.result->error;
+  EXPECT_EQ(engine.context_cache_stats().entries, 0u);
+  EXPECT_EQ(engine.context_cache_stats().misses, 0u);
 }
 
 // --------------------------------------------------------------------------

@@ -19,7 +19,7 @@
 #include "verify/scenario.hpp"
 
 // Differential fuzz of the allocation-free solve path, plus hammer tests of
-// the lock-free cache read paths.
+// the concurrent cache read paths.
 //
 // Part 1 sweeps the seeded scenario corpus (every strategy, so every fuzz
 // regime from fault-free through mixed-correlated) and holds the
@@ -31,9 +31,9 @@
 // tuple attached.
 //
 // Part 2 hammers ShardedLruCache and ContextCache with concurrent readers
-// against a mutating writer (put/clear). The readers' hit path takes no
-// mutex, so these tests are the ThreadSanitizer surface for the RCU
-// snapshots; value integrity is asserted from key-derived invariants.
+// against a mutating writer (put/clear). They are the ThreadSanitizer
+// surface for the result cache's shard mutexes and the context cache's RCU
+// snapshot; value integrity is asserted from key-derived invariants.
 //
 // Knobs (env): DBR_FUZZ_SCENARIOS  scenarios per strategy (default 200)
 //              DBR_FUZZ_SEED       base seed              (default 20260729)
@@ -194,11 +194,11 @@ std::shared_ptr<const EmbedResult> nth_value(std::uint64_t i) {
   return value;
 }
 
-// Readers spin lock-free gets against a writer doing put-refreshes and
-// periodic clears. Every hit must return a coherent Entry (the value's
-// key-derived invariant intact) even while the authoritative map is being
-// rewritten and republished — this is the TSan surface for the result
-// cache's RCU snapshot and the atomic recency ticks.
+// Readers spin gets against a writer doing put-refreshes, evictions and
+// periodic clears. Every hit must return a coherent value (its key-derived
+// invariant intact) while the writer splices the recency list and releases
+// displaced values after its unlock — this is the TSan surface for the
+// result cache's shard mutexes.
 TEST(SolveArena, LruCacheHammerKeepsHitsCoherent) {
   constexpr std::uint64_t kKeys = 96;  // > capacity: eviction under fire
   constexpr std::uint64_t kPuts = 20000;
