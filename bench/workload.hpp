@@ -124,103 +124,6 @@ inline std::vector<service::EmbedRequest> make_stream(Rng& rng,
   return stream;
 }
 
-/// One (base, n) instance of the multi-instance fabric workload.
-struct InstanceSpec {
-  dbr::Digit base = 2;
-  unsigned n = 3;
-};
-
-/// Deterministic pool of `count` distinct FFC instances for placement
-/// traffic, drawn from the (base, n) grid below ordered by node count
-/// ascending — so every instance is large enough that its context build is
-/// the dominant per-miss cost (the effect sharded context residency
-/// amortizes) while staying bounded. Requires `count` within the grid.
-inline std::vector<InstanceSpec> make_instance_pool(std::size_t count) {
-  std::vector<InstanceSpec> grid;
-  const auto add_range = [&grid](dbr::Digit d, unsigned lo, unsigned hi) {
-    for (unsigned n = lo; n <= hi; ++n) grid.push_back({d, n});
-  };
-  add_range(2, 9, 16);  //    512 ..  65536 nodes
-  add_range(3, 6, 9);   //    729 ..  19683
-  add_range(4, 5, 8);   //   1024 ..  65536
-  add_range(5, 4, 6);   //    625 ..  15625
-  add_range(6, 4, 6);   //   1296 ..  46656
-  add_range(7, 3, 5);   //    343 ..  16807
-  add_range(8, 3, 5);   //    512 ..  32768
-  add_range(9, 3, 4);   //    729 ..   6561
-  std::stable_sort(grid.begin(), grid.end(),
-                   [](const InstanceSpec& a, const InstanceSpec& b) {
-                     return WordSpace(a.base, a.n).size() <
-                            WordSpace(b.base, b.n).size();
-                   });
-  if (count > grid.size()) count = grid.size();
-  grid.resize(count);
-  return grid;
-}
-
-/// A multi-instance request stream: each request first draws its (base, n)
-/// instance Zipf(`instance_zipf_s`)-skewed over a make_instance_pool of
-/// `instances` (the placement skew the fabric must absorb), then its fault
-/// set — a draw from the instance's hot pool of `hot_faults` scenarios
-/// with probability `repeat_fraction` (Zipf(`fault_zipf_s`) by rank), a
-/// fresh fault set otherwise. By default every request is a node-fault FFC
-/// solve; `edge_fraction` > 0 turns that share of draws on base >= 3
-/// instances into edge-fault solves, whose per-(base, n) precompute (the
-/// psi/phi machinery) dwarfs a single solve — the regime where context
-/// residency, not raw compute, bounds throughput.
-inline std::vector<service::EmbedRequest> make_instance_stream(
-    Rng& rng, std::size_t requests, std::size_t instances,
-    double instance_zipf_s, double repeat_fraction, std::size_t hot_faults,
-    double fault_zipf_s, double edge_fraction = 0.0) {
-  const std::vector<InstanceSpec> pool = make_instance_pool(instances);
-  const ZipfSampler instance_rank(pool.size(), instance_zipf_s);
-  const ZipfSampler fault_rank(hot_faults == 0 ? 1 : hot_faults, fault_zipf_s);
-  const auto coin = [&rng](double p) {
-    return static_cast<double>(rng.below(1u << 20)) / (1u << 20) < p;
-  };
-
-  // Per-instance hot scenario pools (kind + fault set), built lazily.
-  std::vector<std::vector<service::EmbedRequest>> hot(pool.size());
-  const auto sample_request = [&](const InstanceSpec& inst) {
-    service::EmbedRequest req;
-    req.base = inst.base;
-    req.n = inst.n;
-    const bool edge = inst.base >= 3 && coin(edge_fraction);
-    const WordSpace ws(inst.base, inst.n);
-    if (edge) {
-      req.fault_kind = service::FaultKind::kEdge;
-      const std::uint64_t f = 1 + rng.below(2);
-      for (std::uint64_t v : rng.sample_distinct(ws.edge_word_count(), f))
-        req.faults.push_back(v);
-    } else {
-      req.fault_kind = service::FaultKind::kNode;
-      const std::uint64_t f = 1 + rng.below(3);
-      for (std::uint64_t v : rng.sample_distinct(ws.size(), f))
-        req.faults.push_back(v);
-    }
-    return req;
-  };
-
-  std::vector<service::EmbedRequest> stream;
-  stream.reserve(requests);
-  for (std::size_t i = 0; i < requests; ++i) {
-    const std::size_t which = instance_rank(rng);
-    const InstanceSpec& inst = pool[which];
-    if (coin(repeat_fraction) && hot_faults > 0) {
-      auto& pool_for = hot[which];
-      if (pool_for.empty()) {
-        pool_for.reserve(hot_faults);
-        for (std::size_t k = 0; k < hot_faults; ++k)
-          pool_for.push_back(sample_request(inst));
-      }
-      stream.push_back(pool_for[fault_rank(rng) % pool_for.size()]);
-    } else {
-      stream.push_back(sample_request(inst));
-    }
-  }
-  return stream;
-}
-
 /// Synthesizes the packet flows of one verify::TrafficPattern against a
 /// solved ring: every endpoint lies on the ring, so the fault-free warmup
 /// routes everything and later drops are attributable to churn alone. Flow

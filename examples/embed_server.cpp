@@ -1,13 +1,10 @@
-// Standalone embed service: an EmbedEngine (or, with --shards > 1, a
-// sharded ShardRouter fabric) behind a net::Server, run until
+// Standalone embed service: an EmbedEngine behind a net::Server, run until
 // SIGTERM/SIGINT, then drained gracefully — in-flight solves finish, reply
-// buffers flush, and the process exits 0. The CI server-smoke job runs this
-// binary, points bench/server_throughput at it, then SIGTERMs it and
-// asserts the clean drain.
+// buffers flush, and the process exits 0. perfbench/run.py starts this
+// binary, drives it over loopback, then SIGTERMs it and asserts the clean
+// drain.
 //
 //   ./embed_server --port 4800
-//   ./embed_server --port 4800 --shards 4 --replicas 1   # fabric mode
-//   ./server_throughput --connect 127.0.0.1:4800 --no-baseline
 //
 // Flags: --port N           TCP port (default 4800; 0 = ephemeral, printed)
 //        --workers N        worker threads (default DBR_THREADS)
@@ -17,22 +14,16 @@
 //                           cache hits are not delayed; test/CI hook, default off)
 //        --repair           enable incremental session repair
 //        --validate         oracle-check every computed answer
-//        --shards N         fabric mode: N consistent-hash engine shards
-//                           (default 1 = single engine)
-//        --replicas N       fabric mode: hot-key replicas (default 1)
 
 #include <csignal>
-#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 
 #include "net/server.hpp"
 #include "service/engine.hpp"
-#include "service/fabric.hpp"
 #include "util/parallel.hpp"
 
 using namespace dbr;
@@ -44,7 +35,7 @@ int usage(const char* arg) {
   std::cerr << "unknown flag: " << arg << "\n"
             << "usage: embed_server [--port N] [--workers N] "
                "[--max-pending N] [--timeout-ms F] [--solve-delay-ms F] "
-               "[--repair] [--validate] [--shards N] [--replicas N]\n";
+               "[--repair] [--validate]\n";
   return 64;
 }
 
@@ -54,8 +45,6 @@ int main(int argc, char** argv) {
   ServerOptions options;
   options.port = 4800;
   service::EngineOptions engine_options;
-  std::size_t shards = 1;
-  std::size_t replicas = 1;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -74,10 +63,6 @@ int main(int argc, char** argv) {
       engine_options.incremental_repair = true;
     else if (arg == "--validate")
       engine_options.validate_responses = true;
-    else if (arg == "--shards")
-      shards = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--replicas")
-      replicas = std::strtoull(next(), nullptr, 10);
     else
       return usage(argv[i]);
   }
@@ -90,36 +75,17 @@ int main(int argc, char** argv) {
   sigaddset(&sigs, SIGINT);
   pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
 
-  // Single-engine by default; --shards > 1 stands up the consistent-hash
-  // fabric and serves every kSolve through its router instead. The fabric's
-  // own worker pools are for its query_batch path; the server's workers
-  // drive fabric.query() inline, so per-shard pools stay at 0 here.
-  std::unique_ptr<service::EmbedEngine> engine;
-  std::unique_ptr<service::ShardRouter> fabric;
-  std::unique_ptr<Server> server;
-  if (shards > 1) {
-    service::FabricOptions fabric_options;
-    fabric_options.shards = shards;
-    fabric_options.hot_replicas = replicas;
-    fabric_options.workers_per_shard = 0;
-    fabric_options.engine = engine_options;
-    fabric = std::make_unique<service::ShardRouter>(fabric_options);
-    server = std::make_unique<Server>(*fabric, options);
-  } else {
-    engine = std::make_unique<service::EmbedEngine>(engine_options);
-    server = std::make_unique<Server>(*engine, options);
-  }
+  service::EmbedEngine engine(engine_options);
+  Server server(engine, options);
   try {
-    server->start();
+    server.start();
   } catch (const std::exception& e) {
     std::cerr << "embed_server: " << e.what() << "\n";
     return 1;
   }
-  std::cout << "embed_server listening on port " << server->port()
+  std::cout << "embed_server listening on port " << server.port()
             << " (workers=" << (options.workers ? options.workers : worker_count())
-            << ", max_pending=" << options.max_pending
-            << (fabric ? ", shards=" + std::to_string(shards) : std::string())
-            << ")" << std::endl;
+            << ", max_pending=" << options.max_pending << ")" << std::endl;
 
   std::thread signal_thread([&] {
     int sig = 0;
@@ -127,13 +93,13 @@ int main(int argc, char** argv) {
     std::cout << "embed_server: received "
               << (sig == SIGTERM ? "SIGTERM" : "SIGINT")
               << ", draining" << std::endl;
-    server->drain();
+    server.drain();
   });
 
-  server->wait();  // returns once the drain completes
+  server.wait();  // returns once the drain completes
   signal_thread.join();
 
-  const ServerStats stats = server->stats();
+  const ServerStats stats = server.stats();
   std::cout << "embed_server drained: accepted=" << stats.accepted
             << " solves=" << stats.solves << " frames_in=" << stats.frames_in
             << " frames_out=" << stats.frames_out

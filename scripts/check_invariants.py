@@ -5,13 +5,6 @@ Clang thread-safety rules, cannot see on the tier-1 GCC toolchain).
 
 Rules
 -----
-rcu-publish-under-guard
-    No `RcuSnapshot::publish()` call may be reachable while the calling
-    scope holds its *own* ReadGuard on the same cell: publish() may wait
-    for readers to drain, and a guard pinned by the caller never drains
-    (the PR 8 fabric deadlock). Guards on *other* cells are fine —
-    revive_shard legitimately publishes ring_ under a keys_ ReadGuard.
-
 hot-path-heap-alloc
     Functions taking a `SolveScratch&` in core/ffc.cpp, core/repair.cpp
     and core/mixed_fault.cpp are the allocation-free solve paths (the
@@ -89,11 +82,6 @@ HEAP_CONTAINERS = (
 HEAP_CONTAINER_RE = re.compile(
     r"\bstd::(" + "|".join(HEAP_CONTAINERS) + r")\s*(<|\b)"
 )
-
-READ_GUARD_RE = re.compile(
-    r"\bReadGuard\s+\w+\s*[({]\s*([^;(){}]+?)\s*[)}]\s*;"
-)
-PUBLISH_RE = re.compile(r"([\w.\->\[\]]+)\s*\.\s*publish\s*\(")
 
 ALLOW_RE = re.compile(r"//\s*lint:allow\(([\w-]+)\)\s*:\s*(\S.*)")
 PRETEND_RE = re.compile(r"//\s*lint:pretend-path:\s*(\S+)")
@@ -173,10 +161,6 @@ def strip_comments_and_strings(text: str) -> str:
     return "".join(out)
 
 
-def normalize_expr(expr: str) -> str:
-    return re.sub(r"\s+", "", expr)
-
-
 class SourceFile:
     def __init__(self, path: pathlib.Path):
         self.real_path = path
@@ -201,40 +185,6 @@ class SourceFile:
                 if m and m.group(1) == rule:
                     return True
         return False
-
-
-def check_rcu_publish_under_guard(f: SourceFile) -> list[Violation]:
-    """Tracks live ReadGuards by brace depth; flags a publish() whose
-    receiver expression matches a guard's cell expression."""
-    out = []
-    depth = 0
-    guards: list[tuple[str, int, int]] = []  # (cell, scope_depth, line)
-    for lineno, line in enumerate(f.code_lines, start=1):
-        opens = line.count("{")
-        closes = line.count("}")
-        depth_after = depth + opens - closes
-        for m in READ_GUARD_RE.finditer(line):
-            guards.append((normalize_expr(m.group(1)), depth_after, lineno))
-        for m in PUBLISH_RE.finditer(line):
-            receiver = normalize_expr(m.group(1))
-            for cell, _, gline in guards:
-                if cell == receiver and not f.allowed(
-                    "rcu-publish-under-guard", lineno
-                ):
-                    out.append(
-                        Violation(
-                            f.lint_path,
-                            lineno,
-                            "rcu-publish-under-guard",
-                            f"publish() on '{receiver}' while the ReadGuard "
-                            f"declared at line {gline} pins the same cell "
-                            "(self-deadlock when the retire list drains: "
-                            "scope the guard so it ends before the publish)",
-                        )
-                    )
-        depth = depth_after
-        guards = [g for g in guards if depth >= g[1]]
-    return out
 
 
 def body_span(code: str, open_brace: int) -> int:
@@ -402,7 +352,6 @@ def check_bare_analysis_escape(f: SourceFile) -> list[Violation]:
 
 
 CHECKS = [
-    check_rcu_publish_under_guard,
     check_hot_path_heap_alloc,
     check_naked_mutex,
     check_verify_includes,

@@ -47,10 +47,9 @@ struct DistributedFfcResult {
 /// n (withdrawn necklaces can stretch B*'s eccentricity past n, so the
 /// default is an estimate there, exact in the fault-free graph).
 /// The message envelope charges every node its probe/dossier circulations
-/// plus the d-way flood and announce fan-outs. This is the cross-shard
-/// message-cost estimator the service fabric surfaces in its stats
-/// (service::FabricStats::remap_cost): rebuilding a migrated instance on a
-/// successor shard is priced as one distributed rebuild of its B(base, n).
+/// plus the d-way flood and announce fan-outs. sim::TrafficSim prices the
+/// rebuild window a churn epoch opens with it (the rounds during which
+/// stale forwarding tables stay installed).
 /// Tested against the measured DistributedFfcSolver::run accounting in
 /// tests/test_distributed_ffc.cpp.
 DistributedFfcStats predict_rebuild_rounds(Digit base, unsigned n,

@@ -82,10 +82,7 @@ class Client {
   /// current_ring() of the connection's session.
   SolveReply session_solve(bool want_ring = true);
   /// Coherent engine + server (+ this connection's session) stats snapshot.
-  /// Against a fabric-mode server the reply additionally carries the
-  /// per-shard/aggregate fabric counters (WireStats::has_fabric / fabric);
-  /// a pre-fabric server's shorter payload still decodes (has_fabric stays
-  /// false).
+  /// Throws TransportError on a malformed payload, trailing bytes included.
   StatsReply stats();
 
  private:

@@ -16,7 +16,6 @@
 #include <string_view>
 #include <utility>
 
-#include "service/fabric.hpp"
 #include "service/session.hpp"
 #include "util/parallel.hpp"
 #include "util/require.hpp"
@@ -147,17 +146,8 @@ class Server::Reply {
 };
 
 Server::Server(service::EmbedEngine& engine, ServerOptions options)
-    : engine_(&engine), options_(std::move(options)) {
+    : engine_(engine), options_(std::move(options)) {
   if (options_.workers == 0) options_.workers = worker_count();
-}
-
-Server::Server(service::ShardRouter& fabric, ServerOptions options)
-    : engine_(nullptr), fabric_(&fabric), options_(std::move(options)) {
-  if (options_.workers == 0) options_.workers = worker_count();
-}
-
-service::EmbedEngine& Server::session_engine(Digit base, unsigned n) {
-  return fabric_ ? fabric_->engine_for(base, n) : *engine_;
 }
 
 Server::~Server() {
@@ -451,8 +441,7 @@ void Server::enqueue_frame(Connection& conn, Frame frame) {
   // the loop: FIFO order per connection is the wire contract.
   if (op.admission == Admission::kAdmitted &&
       op.opcode == static_cast<std::uint8_t>(Op::kSolve) &&
-      fabric_ == nullptr && !conn.task_in_flight && conn.ops.empty() &&
-      answer_on_loop(conn, op)) {
+      !conn.task_in_flight && conn.ops.empty() && answer_on_loop(conn, op)) {
     return;
   }
   conn.ops.push_back(std::move(op));
@@ -464,7 +453,7 @@ bool Server::answer_on_loop(Connection& conn, OpItem& op) {
   // A malformed payload goes to the worker, which answers kBadFrame.
   if (!decode_request(op.payload, &request, &op.want_ring)) return false;
   op.missed_key = service::canonical_key(request);
-  const std::optional<service::EmbedResponse> hit = engine_->probe(*op.missed_key);
+  const std::optional<service::EmbedResponse> hit = engine_.probe(*op.missed_key);
   if (!hit) return false;
   Reply reply(*this, conn.wbuf, op);
   finish_solve(reply, op, *hit, op.want_ring);
@@ -684,7 +673,7 @@ void Server::execute_op(Connection& conn, OpItem& op,
     switch (static_cast<Op>(op.opcode)) {
       case Op::kSolve: {
         if (op.missed_key) {  // decoded and probed on the loop already
-          finish_solve(reply, op, engine_->compute_and_fill(*op.missed_key),
+          finish_solve(reply, op, engine_.compute_and_fill(*op.missed_key),
                        op.want_ring);
           return;
         }
@@ -695,9 +684,7 @@ void Server::execute_op(Connection& conn, OpItem& op,
           error_reply(WireStatus::kBadFrame, "malformed solve payload");
           return;
         }
-        finish_solve(reply, op,
-                     fabric_ ? fabric_->query(request) : engine_->query(request),
-                     want_ring);
+        finish_solve(reply, op, engine_.query(request), want_ring);
         return;
       }
       case Op::kSessionConfig: {
@@ -742,8 +729,8 @@ void Server::execute_op(Connection& conn, OpItem& op,
         }
         if (!conn.session) {
           conn.session = std::make_unique<service::EmbedSession>(
-              session_engine(conn.cfg_base, conn.cfg_n), conn.cfg_base,
-              conn.cfg_n, conn.cfg_kind, conn.cfg_strategy);
+              engine_, conn.cfg_base, conn.cfg_n, conn.cfg_kind,
+              conn.cfg_strategy);
         }
         const service::FaultKind fk = static_cast<service::FaultKind>(kind);
         const bool changed = static_cast<Op>(op.opcode) == Op::kFaultAdd
@@ -783,8 +770,8 @@ void Server::execute_op(Connection& conn, OpItem& op,
         }
         if (!conn.session) {
           conn.session = std::make_unique<service::EmbedSession>(
-              session_engine(conn.cfg_base, conn.cfg_n), conn.cfg_base,
-              conn.cfg_n, conn.cfg_kind, conn.cfg_strategy);
+              engine_, conn.cfg_base, conn.cfg_n, conn.cfg_kind,
+              conn.cfg_strategy);
         }
         finish_solve(reply, op, conn.session->current_ring(), ring != 0);
         return;
@@ -796,8 +783,7 @@ void Server::execute_op(Connection& conn, OpItem& op,
           return;
         }
         WireStats stats;
-        stats.engine = fabric_ ? fabric_->aggregate_engine_stats()
-                               : engine_->stats_snapshot();
+        stats.engine = engine_.stats_snapshot();
         const ServerStats s = this->stats();
         stats.server.accepted = s.accepted;
         stats.server.connections = s.connections;
@@ -813,28 +799,6 @@ void Server::execute_op(Connection& conn, OpItem& op,
           stats.has_session = true;
           stats.session = conn.session->stats();
           stats.repair = conn.session->repair_stats();
-        }
-        if (fabric_) {
-          const service::FabricStats f = fabric_->stats();
-          stats.has_fabric = true;
-          stats.fabric.queries = f.queries;
-          stats.fabric.hot_keys = f.hot_keys;
-          stats.fabric.replica_reads = f.replica_reads;
-          stats.fabric.remap_events = f.remap_events;
-          stats.fabric.remapped_keys = f.remapped_keys;
-          stats.fabric.remap_rounds = f.remap_cost.total_rounds();
-          stats.fabric.remap_messages = f.remap_cost.messages;
-          stats.fabric.shards.reserve(f.shards.size());
-          for (const service::FabricShardStats& shard : f.shards) {
-            WireFabricShard ws;
-            ws.shard = shard.shard;
-            ws.alive = shard.alive;
-            ws.keys_owned = shard.keys_owned;
-            ws.queries = shard.queries;
-            ws.replica_reads = shard.replica_reads;
-            ws.context_builds = shard.engine.contexts.misses;
-            stats.fabric.shards.push_back(ws);
-          }
         }
         encode_stats(reply.ok(), stats);
         reply.finish();

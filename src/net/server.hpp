@@ -62,12 +62,6 @@
 #include "service/engine.hpp"
 #include "util/thread_annotations.hpp"
 
-namespace dbr::service {
-/// Sharded fabric (service/fabric.hpp); forward-declared so a Server can
-/// be constructed over one without the net layer including the fabric.
-class ShardRouter;
-}  // namespace dbr::service
-
 namespace dbr::net {
 
 /// Tuning knobs of net::Server.
@@ -116,26 +110,11 @@ struct ServerStats {
   bool draining = false;
 };
 
-/// The epoll-driven TCP server fronting one EmbedEngine — or, in fabric
-/// mode, a whole service::ShardRouter. Not copyable; start() may be called
-/// once. The engine (or fabric) must outlive the server.
-///
-/// Fabric mode changes only the dispatch layer: kSolve routes through
-/// ShardRouter::query (consistent-hash placement, hot-key replicas),
-/// sessions bind to the engine owning their configured instance, and the
-/// STATS op reports the per-shard engine snapshots summed plus the
-/// versioned fabric section (per-shard counters, remap cost). Every fabric
-/// solve executes on a worker — none is answered on the loop — because the
-/// router's per-key read counts drive hot-key replication and must see
-/// every read.
+/// The epoll-driven TCP server fronting one EmbedEngine. Not copyable;
+/// start() may be called once. The engine must outlive the server.
 class Server {
  public:
   explicit Server(service::EmbedEngine& engine, ServerOptions options = {});
-
-  /// Fabric mode: front `fabric` instead of a single engine. The fabric's
-  /// own per-shard pools serve query_batch traffic; server workers call the
-  /// router inline, so the worker count still bounds server concurrency.
-  explicit Server(service::ShardRouter& fabric, ServerOptions options = {});
   ~Server();
 
   Server(const Server&) = delete;
@@ -201,12 +180,8 @@ class Server {
   /// deadline once the reply is encoded.
   void finish_solve(Reply& reply, const OpItem& op,
                     const service::EmbedResponse& response, bool want_ring);
-  /// The engine a session for instance (base, n) binds to: the fabric's
-  /// owning shard in fabric mode, the single engine otherwise.
-  service::EmbedEngine& session_engine(Digit base, unsigned n);
 
-  service::EmbedEngine* engine_;  ///< null in fabric mode
-  service::ShardRouter* fabric_ = nullptr;  ///< null in single-engine mode
+  service::EmbedEngine& engine_;
   ServerOptions options_;
   std::uint16_t port_ = 0;
 

@@ -318,76 +318,6 @@ bool decode_embed(WireReader& r, WireEmbed* out) {
 
 // --- STATS ------------------------------------------------------------------
 
-namespace {
-
-/// Appends the versioned fabric extension (u8 has_fabric, then the
-/// aggregate counters and per-shard entries). Always the last section of
-/// the payload, so a pre-fabric decoder simply never reads it.
-void encode_fabric_section(WireWriter& w, const WireStats& stats) {
-  w.u8(stats.has_fabric ? 1 : 0);
-  if (!stats.has_fabric) return;
-  const WireFabricStats& f = stats.fabric;
-  w.u64(f.queries);
-  w.u64(f.hot_keys);
-  w.u64(f.replica_reads);
-  w.u64(f.remap_events);
-  w.u64(f.remapped_keys);
-  w.u64(f.remap_rounds);
-  w.u64(f.remap_messages);
-  w.u32(static_cast<std::uint32_t>(f.shards.size()));
-  for (const WireFabricShard& s : f.shards) {
-    w.u32(s.shard);
-    w.u8(s.alive ? 1 : 0);
-    w.u64(s.keys_owned);
-    w.u64(s.queries);
-    w.u64(s.replica_reads);
-    w.u64(s.context_builds);
-  }
-}
-
-/// Reads the fabric extension, tolerating its complete absence (a payload
-/// from a pre-fabric peer ends right after the session block).
-bool decode_fabric_section(WireReader& r, WireStats* s) {
-  if (r.remaining() == 0) {
-    s->has_fabric = false;  // pre-fabric peer: nothing more on the wire
-    return true;
-  }
-  const std::uint8_t has_fabric = r.u8();
-  if (!r.ok() || has_fabric > 1) return false;
-  s->has_fabric = has_fabric != 0;
-  if (!s->has_fabric) return true;
-  WireFabricStats& f = s->fabric;
-  f.queries = r.u64();
-  f.hot_keys = r.u64();
-  f.replica_reads = r.u64();
-  f.remap_events = r.u64();
-  f.remapped_keys = r.u64();
-  f.remap_rounds = r.u64();
-  f.remap_messages = r.u64();
-  const std::uint32_t count = r.u32();
-  if (!r.ok()) return false;
-  // Each shard entry is at least 37 payload bytes; reject counts the
-  // remaining payload cannot possibly hold before allocating.
-  constexpr std::size_t kShardBytes = 4 + 1 + 4 * 8;
-  if (count > r.remaining() / kShardBytes) return false;
-  f.shards.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    WireFabricShard shard;
-    shard.shard = r.u32();
-    const std::uint8_t alive = r.u8();
-    if (alive > 1) return false;
-    shard.alive = alive != 0;
-    shard.keys_owned = r.u64();
-    shard.queries = r.u64();
-    shard.replica_reads = r.u64();
-    shard.context_builds = r.u64();
-    f.shards.push_back(shard);
-  }
-  return r.ok();
-}
-
-}  // namespace
-
 void encode_stats(WireWriter& w, const WireStats& stats) {
   const service::EngineStatsSnapshot& e = stats.engine;
   w.u64(e.serve.queries);
@@ -428,7 +358,6 @@ void encode_stats(WireWriter& w, const WireStats& stats) {
     w.u64(stats.repair.oracle_rejections);
     w.f64(stats.repair.repair_micros_total);
   }
-  encode_fabric_section(w, stats);
 }
 
 bool decode_stats(WireReader& r, WireStats* out) {
@@ -473,8 +402,7 @@ bool decode_stats(WireReader& r, WireStats* out) {
     s.repair.oracle_rejections = r.u64();
     s.repair.repair_micros_total = r.f64();
   }
-  if (!r.ok()) return false;
-  if (!decode_fabric_section(r, &s)) return false;
+  if (!r.exhausted()) return false;
   *out = s;
   return true;
 }

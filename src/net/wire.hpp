@@ -238,61 +238,23 @@ struct WireServerStats {
   bool draining = false;          ///< graceful drain in progress
 };
 
-/// Per-shard slice of the fabric STATS extension: placement and
-/// read-balancing counters of one engine shard (service::FabricShardStats
-/// flattened; the shard's own engine counters fold into the aggregate
-/// engine snapshot rather than riding the wire per shard).
-struct WireFabricShard {
-  std::uint32_t shard = 0;            ///< dense shard id
-  bool alive = true;                  ///< false between kill and revive
-  std::uint64_t keys_owned = 0;       ///< observed instance keys owned
-  std::uint64_t queries = 0;          ///< requests routed to this shard
-  std::uint64_t replica_reads = 0;    ///< requests served as a replica
-  std::uint64_t context_builds = 0;   ///< this shard's context-cache misses
-
-  bool operator==(const WireFabricShard&) const = default;
-};
-
-/// Fabric-aggregate counters of a fabric-mode server's STATS reply,
-/// including the Section-2.4 remap cost estimate (total rounds + messages
-/// of the distributed rebuilds the remaps so far are priced at).
-struct WireFabricStats {
-  std::uint64_t queries = 0;        ///< total requests routed
-  std::uint64_t hot_keys = 0;       ///< keys promoted to hot
-  std::uint64_t replica_reads = 0;  ///< reads load-balanced off the owner
-  std::uint64_t remap_events = 0;   ///< kill/revive transitions
-  std::uint64_t remapped_keys = 0;  ///< keys whose owner changed
-  std::uint64_t remap_rounds = 0;   ///< Section-2.4 rebuild rounds charged
-  std::uint64_t remap_messages = 0; ///< Section-2.4 rebuild message envelope
-  std::vector<WireFabricShard> shards;
-
-  bool operator==(const WireFabricStats&) const = default;
-};
-
 /// Everything the STATS op reports: one coherent engine snapshot
-/// (EmbedEngine::stats_snapshot; in fabric mode the per-shard snapshots
-/// summed), the server's own counters, when the connection has a configured
-/// session its SessionStats/RepairStats, and — from fabric-mode servers —
-/// the per-shard/aggregate fabric section. The fabric section is an
-/// append-only protocol extension: peers speaking the original payload
-/// (without even the has_fabric byte) still interoperate, see decode_stats.
+/// (EmbedEngine::stats_snapshot), the server's own counters, and, when the
+/// connection has a configured session, its SessionStats/RepairStats.
 struct WireStats {
   service::EngineStatsSnapshot engine;
   WireServerStats server;
   bool has_session = false;
   service::SessionStats session;
   service::RepairStats repair;
-  bool has_fabric = false;
-  WireFabricStats fabric;
 };
 
-/// Appends a STATS reply payload (after the caller's WireStatus byte).
+/// Appends a STATS reply payload (after the caller's WireStatus byte). The
+/// payload ends after the session block.
 void encode_stats(WireWriter& w, const WireStats& stats);
 
-/// Reads a STATS reply payload written by encode_stats. Versioned: a
-/// payload that ends after the session block (the pre-fabric encoding) is
-/// accepted with has_fabric = false, so stats from an older peer still
-/// decode.
+/// Reads a STATS reply payload written by encode_stats; false on a
+/// truncated payload, an out-of-range flag byte, or trailing bytes.
 bool decode_stats(WireReader& r, WireStats* out);
 
 // --- Stream framing ---------------------------------------------------------

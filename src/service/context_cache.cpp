@@ -1,5 +1,9 @@
 #include "service/context_cache.hpp"
 
+#include <exception>
+#include <optional>
+#include <utility>
+
 #include "util/require.hpp"
 
 namespace dbr::service {
@@ -8,92 +12,55 @@ ContextCache::ContextCache(std::size_t capacity) : capacity_(capacity) {
   require(capacity >= 1, "ContextCache requires capacity >= 1");
 }
 
-void ContextCache::publish() {
-  snapshot_.publish(std::make_shared<const Map>(map_));
-}
-
 std::shared_ptr<const core::InstanceContext> ContextCache::get_or_build(
     Digit base, unsigned n, bool* hit) {
   const std::uint64_t key = key_of(base, n);
-  // Lock-free fast path: a built context found in the published snapshot is
-  // returned after one atomic recency store. An entry whose build is still
-  // in flight (ready unset) falls through to the future protocol below.
-  if (const util::RcuSnapshot<Map>::ReadGuard snap{snapshot_}) {
-    const auto it = snap->find(key);
-    if (it != snap->end()) {
-      if (it->second->ready.load(std::memory_order_acquire) != nullptr) {
-        // The acquire load above makes the builder's one-time write of
-        // ready_owner visible; copying it extends ownership past the guard.
-        ContextPtr ctx = it->second->ready_owner;
-        it->second->last_used.store(
-            tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-            std::memory_order_relaxed);
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        if (hit != nullptr) *hit = true;
-        return ctx;
-      }
-    }
-  }
-
-  std::promise<ContextPtr> promise;
+  // Engaged only on a miss: a promise allocates its shared state, which a
+  // hit has no use for.
+  std::optional<std::promise<ContextPtr>> promise;
   Future future;
-  std::shared_ptr<Entry> entry;
-  bool builder = false;
   {
+    // Declared before the lock, so an evicted context is released after the
+    // unlock (unless a caller still pins it).
+    Future evicted;
     const util::MutexLock lock(mu_);
-    const auto it = map_.find(key);
-    if (it != map_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      if (hit != nullptr) *hit = true;
-      it->second->last_used.store(
-          tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-          std::memory_order_relaxed);
-      future = it->second->future;
+    if (const auto it = index_.find(key); it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second.pos);
+      ++hits_;
+      future = it->second.future;
     } else {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      if (hit != nullptr) *hit = false;
-      future = promise.get_future().share();
-      entry = std::make_shared<Entry>(
-          future, tick_.fetch_add(1, std::memory_order_relaxed) + 1);
-      map_.emplace(key, entry);
-      builder = true;
-      if (map_.size() > capacity_) {
-        // Evict the least recently used entry (never the one just
-        // inserted: it carries the newest tick). Pinned contexts stay
-        // alive through their shared_ptrs; only the cache forgets.
-        auto victim = map_.end();
-        for (auto e = map_.begin(); e != map_.end(); ++e) {
-          if (e->first == key) continue;
-          if (victim == map_.end() ||
-              e->second->last_used.load(std::memory_order_relaxed) <
-                  victim->second->last_used.load(std::memory_order_relaxed)) {
-            victim = e;
-          }
-        }
-        map_.erase(victim);
+      ++misses_;
+      future = promise.emplace().get_future().share();
+      // Built aside and spliced in (which cannot throw), so a failed
+      // allocation leaves the list and the index as they were.
+      Lru node{key};
+      index_.emplace(key, Entry{future, node.begin()});
+      lru_.splice(lru_.begin(), node);
+      if (index_.size() > capacity_) {
+        // Never the entry just inserted: it sits at the front.
+        const auto victim = index_.find(lru_.back());
+        evicted = std::move(victim->second.future);
+        index_.erase(victim);
+        lru_.pop_back();
       }
-      publish();
     }
   }
-  if (builder) {
+  const bool builder = promise.has_value();
+  if (hit != nullptr) *hit = !builder;
+  if (promise) {
     try {
-      ContextPtr built = core::InstanceContext::make(base, n);
-      // Open the lock-free path first, then wake the future's waiters; the
-      // shared Entry makes the stored context visible through every
-      // snapshot that contains it. Ownership lands in ready_owner *before*
-      // the release-store of the raw pointer readers gate on.
-      entry->ready_owner = built;
-      entry->ready.store(built.get(), std::memory_order_release);
-      promise.set_value(std::move(built));
+      promise->set_value(core::InstanceContext::make(base, n));
     } catch (...) {
       {
         // Drop the entry before waking waiters so lookups racing the wake
         // never find a dead future; invalid instances are never cached.
         const util::MutexLock lock(mu_);
-        map_.erase(key);
-        publish();
+        if (const auto it = index_.find(key); it != index_.end()) {
+          lru_.erase(it->second.pos);
+          index_.erase(it);
+        }
       }
-      promise.set_exception(std::current_exception());
+      promise->set_exception(std::current_exception());
     }
   }
   try {
@@ -103,11 +70,11 @@ std::shared_ptr<const core::InstanceContext> ContextCache::get_or_build(
       // A waiter that joined a build which then failed did not reuse
       // anything: reclassify its lookup as a miss ("wait failed"). The
       // decrement saturates so a concurrent clear() cannot underflow it.
-      std::uint64_t h = hits_.load(std::memory_order_relaxed);
-      while (h > 0 && !hits_.compare_exchange_weak(h, h - 1,
-                                                   std::memory_order_relaxed)) {
+      {
+        const util::MutexLock lock(mu_);
+        if (hits_ > 0) --hits_;
+        ++misses_;
       }
-      misses_.fetch_add(1, std::memory_order_relaxed);
       if (hit != nullptr) *hit = false;
     }
     throw;
@@ -115,24 +82,27 @@ std::shared_ptr<const core::InstanceContext> ContextCache::get_or_build(
 }
 
 void ContextCache::clear() {
+  // Declared before the lock: the dropped contexts are released after the
+  // unlock (unless a caller still pins them).
+  std::unordered_map<std::uint64_t, Entry> released;
   const util::MutexLock lock(mu_);
-  map_.clear();
-  snapshot_.publish(nullptr);
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
+  released.swap(index_);
+  lru_.clear();
+  hits_ = 0;
+  misses_ = 0;
 }
 
 std::size_t ContextCache::size() const {
   const util::MutexLock lock(mu_);
-  return map_.size();
+  return index_.size();
 }
 
 ContextCacheStats ContextCache::stats() const {
-  ContextCacheStats out;
-  out.hits = hits_.load(std::memory_order_relaxed);
-  out.misses = misses_.load(std::memory_order_relaxed);
   const util::MutexLock lock(mu_);
-  out.entries = map_.size();
+  ContextCacheStats out;
+  out.hits = hits_;
+  out.misses = misses_;
+  out.entries = index_.size();
   return out;
 }
 

@@ -1,14 +1,13 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <future>
+#include <list>
 #include <memory>
 #include <unordered_map>
 
 #include "core/instance_context.hpp"
-#include "util/rcu_snapshot.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace dbr::service {
@@ -40,15 +39,12 @@ struct ContextCacheStats {
 /// used entry is dropped (its context stays alive for whoever pinned it),
 /// so a workload spanning many instances cannot grow memory without limit.
 ///
-/// Hits on a *built* context are read-side lock-free (RCU): the cache
-/// publishes an immutable snapshot of its entries through a
-/// util::RcuSnapshot cell, and an entry exposes its context through an
-/// atomic raw pointer the builder sets on completion — so the steady-state
-/// lookup (the one every request pays) touches no mutex. Recency stays
-/// exact: each entry's
-/// last-used tick is atomic and shared with the authoritative map, where
-/// the eviction scan reads it under the writer mutex. Misses and waits on
-/// an in-flight build keep the original mutex + shared-future protocol.
+/// The cache is the textbook exact LRU under one mutex: a recency list
+/// (most recent first) plus a hash index from key to {future, list
+/// position}. A hit is one lookup and one splice to the front; a miss
+/// inserts at the front and pops the tail when over capacity. Both are O(1)
+/// and the lock is dropped before any build or wait, so it is only ever
+/// held for that O(1) bookkeeping.
 class ContextCache {
  public:
   static constexpr std::size_t kDefaultCapacity = 64;
@@ -58,7 +54,7 @@ class ContextCache {
   /// Returns the shared context for (base, n), building it if absent. When
   /// `hit` is non-null it is set to true iff an existing (possibly still
   /// in-flight) context was reused. Throws precondition_error for instances
-  /// WordSpace rejects. Lock-free when the context is built and published.
+  /// WordSpace rejects.
   std::shared_ptr<const core::InstanceContext> get_or_build(Digit base,
                                                             unsigned n,
                                                             bool* hit = nullptr);
@@ -74,39 +70,24 @@ class ContextCache {
  private:
   using ContextPtr = std::shared_ptr<const core::InstanceContext>;
   using Future = std::shared_future<ContextPtr>;
+  /// Keys in recency order, most recent first.
+  using Lru = std::list<std::uint64_t>;
 
-  /// Shared between the authoritative map and every published snapshot.
-  /// The builder writes `ready_owner` exactly once, then release-stores the
-  /// raw pointer into `ready`; a reader that acquire-loads `ready` non-null
-  /// may therefore copy `ready_owner` without synchronization (it is
-  /// immutable from that point on). `last_used` is the shared recency tick
-  /// lock-free hits store into.
   struct Entry {
-    Entry(Future f, std::uint64_t t) : future(std::move(f)), last_used(t) {}
-
-    Future future;
-    ContextPtr ready_owner;  ///< written once by the builder, then frozen
-    std::atomic<const core::InstanceContext*> ready{nullptr};
-    std::atomic<std::uint64_t> last_used;
+    Future future;      ///< ready once the build finished
+    Lru::iterator pos;  ///< this key's node in lru_
   };
-
-  using Map = std::unordered_map<std::uint64_t, std::shared_ptr<Entry>>;
 
   static std::uint64_t key_of(Digit base, unsigned n) {
     return (static_cast<std::uint64_t>(base) << 32) | n;
   }
 
-  /// Re-publishes the read snapshot from map_; the annotation makes the
-  /// "callers hold mu_" convention a compile-time requirement.
-  void publish() DBR_REQUIRES(mu_);
-
   std::size_t capacity_;
   mutable util::Mutex mu_;
-  Map map_ DBR_GUARDED_BY(mu_);      ///< authoritative entries
-  util::RcuSnapshot<Map> snapshot_;  ///< lock-free read view
-  std::atomic<std::uint64_t> tick_{0};  ///< LRU clock; bumped on every touch
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
+  Lru lru_ DBR_GUARDED_BY(mu_);
+  std::unordered_map<std::uint64_t, Entry> index_ DBR_GUARDED_BY(mu_);
+  std::uint64_t hits_ DBR_GUARDED_BY(mu_) = 0;
+  std::uint64_t misses_ DBR_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace dbr::service

@@ -56,18 +56,6 @@ void SessionDriver::restore_link(Word edge_word) {
   if (session_->clear_fault(FaultKind::kEdge, edge_word)) ++stats_.link_restores;
 }
 
-void SessionDriver::kill_shard(service::ShardId shard) {
-  require(fabric_ != nullptr, "shard events need an attached fabric");
-  fabric_->kill_shard(shard);
-  ++stats_.shard_kills;
-}
-
-void SessionDriver::revive_shard(service::ShardId shard) {
-  require(fabric_ != nullptr, "shard events need an attached fabric");
-  fabric_->revive_shard(shard);
-  ++stats_.shard_revives;
-}
-
 service::EmbedResponse SessionDriver::current_ring() {
   service::EmbedResponse response = session_->current_ring();
   if (response.ok()) {

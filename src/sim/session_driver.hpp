@@ -6,7 +6,6 @@
 
 #include <cstdint>
 
-#include "service/fabric.hpp"
 #include "service/session.hpp"
 #include "sim/engine.hpp"
 #include "verify/scenario.hpp"
@@ -24,10 +23,6 @@ struct ChurnDriveStats {
   /// Rings served by locally splicing the previous ring instead of a full
   /// re-solve (EngineOptions::incremental_repair; EmbedResponse::repaired).
   std::uint64_t repaired_rings = 0;
-  /// Fabric shard losses applied through an attached ShardRouter.
-  std::uint64_t shard_kills = 0;
-  /// Fabric shard revivals applied through an attached ShardRouter.
-  std::uint64_t shard_revives = 0;
 };
 
 /// Bridges faults of a sim::Engine into a stateful service::EmbedSession
@@ -59,23 +54,6 @@ class SessionDriver {
   /// Restores a cut link and clears its edge fault.
   void restore_link(Word edge_word);
 
-  /// Attaches the serving fabric, enabling the shard-level fault events
-  /// below: the churn timeline can then lose whole engine shards beside
-  /// processors and links — the same fail-stop story one layer up. The
-  /// fabric must outlive the driver.
-  void attach_fabric(service::ShardRouter& fabric) { fabric_ = &fabric; }
-
-  /// Fail-stop loss of a serving shard: ShardRouter::kill_shard (arc remap
-  /// plus eager context rebuild on the successors). The embedded ring is
-  /// unaffected — answers are bit-identical from any shard — which is
-  /// precisely what the fabric tests drive through this event. Requires an
-  /// attached fabric.
-  void kill_shard(service::ShardId shard);
-
-  /// Revives a lost shard (ShardRouter::revive_shard). Requires an
-  /// attached fabric.
-  void revive_shard(service::ShardId shard);
-
   /// The ring avoiding every dead processor and cut link (re-solved only
   /// after churn).
   service::EmbedResponse current_ring();
@@ -90,7 +68,6 @@ class SessionDriver {
  private:
   Engine* net_;
   service::EmbedSession* session_;
-  service::ShardRouter* fabric_ = nullptr;  ///< set by attach_fabric
   ChurnDriveStats stats_;
 };
 

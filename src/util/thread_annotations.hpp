@@ -5,8 +5,8 @@
 /// vocabulary.
 ///
 /// Every mutex-bearing component (service/cache, service/context_cache,
-/// service/fabric, net/server, util/parallel) declares its locking contract
-/// through these macros and wrapper types, so the contract is machine-checked
+/// net/server, util/parallel) declares its locking contract through these
+/// macros and wrapper types, so the contract is machine-checked
 /// by Clang's `-Wthread-safety` analysis (the CI static-analysis job builds
 /// with `-Wthread-safety -Werror=thread-safety`) instead of living only in
 /// comments. Under GCC — the tier-1 toolchain — every macro compiles to
@@ -25,8 +25,7 @@
 ///    `DBR_REQUIRES_SHARED(mu)`     — a function callable only with `mu`
 ///                                    held (exclusively resp. shared);
 ///  * `DBR_EXCLUDES(mu)`            — a function callable only with `mu`
-///                                    *not* held (deadlock contracts: the
-///                                    RcuSnapshot publish rule);
+///                                    *not* held (deadlock contracts);
 ///  * `DBR_ACQUIRE`/`DBR_RELEASE` (+ `_SHARED`, `DBR_RELEASE_GENERIC`,
 ///    `DBR_TRY_ACQUIRE`)            — lock/unlock primitives;
 ///  * `DBR_NO_THREAD_SAFETY_ANALYSIS` — opt a function out (used only with a
@@ -35,7 +34,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 // The attributes exist in Clang only; GCC builds compile them away entirely.
 #if defined(__clang__) && (!defined(SWIG))
@@ -99,34 +97,6 @@ class DBR_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// Annotated std::shared_mutex for reader/writer splits: exclusive
-/// lock()/unlock() plus shared lock_shared()/unlock_shared(), each visible
-/// to the analysis (DBR_REQUIRES_SHARED for read paths).
-class DBR_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  /// Acquires exclusively (writer side).
-  void lock() DBR_ACQUIRE() { mu_.lock(); }
-  /// Releases the exclusive hold.
-  void unlock() DBR_RELEASE() { mu_.unlock(); }
-  /// Acquires exclusively without blocking; true when taken.
-  bool try_lock() DBR_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-  /// Acquires shared (reader side).
-  void lock_shared() DBR_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  /// Releases a shared hold.
-  void unlock_shared() DBR_RELEASE_SHARED() { mu_.unlock_shared(); }
-  /// Acquires shared without blocking; true when taken.
-  bool try_lock_shared() DBR_TRY_ACQUIRE_SHARED(true) {
-    return mu_.try_lock_shared();
-  }
-
- private:
-  std::shared_mutex mu_;
-};
-
 /// RAII exclusive lock over a Mutex — the annotated std::lock_guard. The
 /// analysis knows the capability is held from construction to scope exit.
 class DBR_SCOPED_CAPABILITY MutexLock {
@@ -140,40 +110,6 @@ class DBR_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// RAII exclusive lock over a SharedMutex (writer side).
-class DBR_SCOPED_CAPABILITY SharedMutexLock {
- public:
-  /// Acquires `mu` exclusively for the lifetime of the guard.
-  explicit SharedMutexLock(SharedMutex& mu) DBR_ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~SharedMutexLock() DBR_RELEASE() { mu_.unlock(); }
-
-  SharedMutexLock(const SharedMutexLock&) = delete;
-  SharedMutexLock& operator=(const SharedMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// RAII shared (reader) lock over a SharedMutex.
-class DBR_SCOPED_CAPABILITY SharedReaderLock {
- public:
-  /// Acquires `mu` shared for the lifetime of the guard.
-  explicit SharedReaderLock(SharedMutex& mu) DBR_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  // Generic release: the analysis pairs it with the shared acquisition above
-  // (the dtor cannot name which mode it releases).
-  ~SharedReaderLock() DBR_RELEASE_GENERIC() { mu_.unlock_shared(); }
-
-  SharedReaderLock(const SharedReaderLock&) = delete;
-  SharedReaderLock& operator=(const SharedReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// RAII lock over a Mutex that a CondVar can wait on — the annotated

@@ -1,34 +1,13 @@
 // Fixture with zero expected violations: the idiomatic forms of everything
 // the bad fixtures get wrong, plus one justified suppression.
 
-#include <memory>
-
-#include "util/rcu_snapshot.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace dbr::fixture {
 
 struct Registry {
-  using Map = int;
-  util::RcuSnapshot<Map> cell_;
-  util::RcuSnapshot<Map> other_;
   util::Mutex mu_;
   int guarded_ DBR_GUARDED_BY(mu_) = 0;
-
-  void correct_update(std::shared_ptr<const Map> next) {
-    {
-      // Scoped: the guard dies before the publish below.
-      util::RcuSnapshot<Map>::ReadGuard guard(cell_);
-      if (!guard) return;
-    }
-    cell_.publish(std::move(next));
-  }
-
-  void cross_cell_update(std::shared_ptr<const Map> next) {
-    // A live guard on a *different* cell never deadlocks the publish.
-    util::RcuSnapshot<Map>::ReadGuard guard(other_);
-    cell_.publish(std::move(next));
-  }
 
   void bump() {
     const util::MutexLock lock(mu_);

@@ -12,7 +12,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -196,7 +195,6 @@ TEST(EngineStatsSnapshotTest, CoherentUnderConcurrentClear) {
 // must be layout-identical to the std primitive it wraps (locks hold exactly
 // the reference/handle the std guard would).
 static_assert(sizeof(util::Mutex) == sizeof(std::mutex));
-static_assert(sizeof(util::SharedMutex) == sizeof(std::shared_mutex));
 static_assert(sizeof(util::CondVar) == sizeof(std::condition_variable));
 static_assert(sizeof(util::MutexLock) == sizeof(util::Mutex*));
 static_assert(sizeof(util::UniqueLock) == sizeof(std::unique_lock<std::mutex>));
@@ -242,31 +240,6 @@ TEST(ThreadAnnotationWrappers, MutexLockProvidesMutualExclusion) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(counter, static_cast<long long>(kThreads) * kIncrements);
-}
-
-TEST(ThreadAnnotationWrappers, SharedMutexAllowsReadersExcludesWriter) {
-  util::SharedMutex mu;
-  mu.lock_shared();
-  EXPECT_TRUE(mu.try_lock_shared());  // shared + shared coexist
-  std::thread writer([&] { EXPECT_FALSE(mu.try_lock()); });
-  writer.join();
-  mu.unlock_shared();
-  mu.unlock_shared();
-  EXPECT_TRUE(mu.try_lock());  // all readers gone -> exclusive acquires
-  std::thread reader([&] { EXPECT_FALSE(mu.try_lock_shared()); });
-  reader.join();
-  mu.unlock();
-}
-
-TEST(ThreadAnnotationWrappers, SharedReaderLockScopesTheSharedHold) {
-  util::SharedMutex mu;
-  {
-    const util::SharedReaderLock guard(mu);
-    std::thread writer([&] { EXPECT_FALSE(mu.try_lock()); });
-    writer.join();
-  }
-  EXPECT_TRUE(mu.try_lock());  // guard released its shared hold at scope exit
-  mu.unlock();
 }
 
 TEST(ThreadAnnotationWrappers, CondVarWakesWaiterUnderUniqueLock) {

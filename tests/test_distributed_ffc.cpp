@@ -122,9 +122,9 @@ TEST(RoundComplexity, TotalWithinLinearBudget) {
 
 // --------------------------------------------------------------------------
 // The pure Section-2.4 cost model (predict_rebuild_rounds) against the
-// measured protocol accounting: the fabric prices every shard-remap rebuild
-// with this estimator, so it must dominate the measured run phase by phase
-// and be exact where the phase count is deterministic.
+// measured protocol accounting: the traffic simulation prices every rebuild
+// window with this estimator, so it must dominate the measured run phase by
+// phase and be exact where the phase count is deterministic.
 
 TEST(RebuildEstimator, MatchesMeasuredRunOnSeededFaults) {
   Rng rng(0x5ec24ULL);

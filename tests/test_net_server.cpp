@@ -217,6 +217,90 @@ TEST(NetServer, PipelinedBurstKeepsRequestOrder) {
   }
 }
 
+TEST(NetServer, ManyPipelinedConnectionsAnswerInOrder) {
+  ServerOptions opts;
+  opts.workers = 4;
+  Rig rig(opts);
+
+  // Warmed hot set: every draw from it is a result-cache hit.
+  EmbedRequest edge;
+  edge.base = 3;
+  edge.n = 5;
+  edge.fault_kind = FaultKind::kEdge;
+  edge.faults = {17};
+  const std::vector<EmbedRequest> hot = {
+      node_request(2, 10, {600}), node_request(2, 10, {700, 900}), edge,
+      node_request(3, 6, {42})};
+  for (const EmbedRequest& req : hot) rig.engine->query(req);
+
+  // Each connection sends one burst of [hot hit, fresh miss, repeat of that
+  // miss (a hit once it is filled)] triples; fresh fault words are distinct
+  // across connections, so every fresh solve is a miss.
+  constexpr std::size_t kConnections = 32;
+  constexpr std::size_t kBurst = 12;
+  std::vector<std::vector<EmbedRequest>> bursts(kConnections);
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    for (std::size_t i = 0; i < kBurst; ++i) {
+      if (i % 3 == 0) {
+        bursts[c].push_back(hot[(c + i) % hot.size()]);
+      } else if (i % 3 == 1) {
+        bursts[c].push_back(node_request(2, 10, {1 + c * kBurst + i}));
+      } else {
+        bursts[c].push_back(bursts[c].back());
+      }
+    }
+  }
+
+  // Client::solve_pipeline writes the whole burst before reading and throws
+  // on any reply whose request id or opcode does not match, so a reply out
+  // of request order surfaces as an error here.
+  std::vector<std::vector<Client::SolveReply>> replies(kConnections);
+  std::vector<std::string> errors(kConnections);
+  std::vector<std::thread> threads;
+  threads.reserve(kConnections);
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    threads.emplace_back([&, c] {
+      try {
+        Client client;
+        client.connect("127.0.0.1", rig.server->port());
+        replies[c] = client.solve_pipeline(bursts[c], /*want_ring=*/true);
+      } catch (const std::exception& e) {
+        errors[c] = e.what();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EmbedEngine reference;
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    ASSERT_TRUE(errors[c].empty()) << "connection " << c << ": " << errors[c];
+    ASSERT_EQ(replies[c].size(), kBurst) << "connection " << c;
+    for (std::size_t i = 0; i < kBurst; ++i) {
+      const Client::SolveReply& got = replies[c][i];
+      ASSERT_EQ(got.status, WireStatus::kOk)
+          << "c=" << c << " i=" << i << " " << got.message;
+      const EmbedResponse want = reference.query(bursts[c][i]);
+      ASSERT_EQ(want.result->status, EmbedStatus::kOk);
+      EXPECT_EQ(got.embed.status, want.result->status) << "c=" << c << " i=" << i;
+      EXPECT_EQ(got.embed.strategy_used, want.result->strategy_used)
+          << "c=" << c << " i=" << i;
+      EXPECT_EQ(got.embed.lower_bound, want.result->lower_bound)
+          << "c=" << c << " i=" << i;
+      EXPECT_EQ(got.embed.upper_bound, want.result->upper_bound)
+          << "c=" << c << " i=" << i;
+      ASSERT_TRUE(got.embed.has_ring) << "c=" << c << " i=" << i;
+      EXPECT_EQ(got.embed.ring, want.result->ring.nodes)
+          << "c=" << c << " i=" << i;
+      EXPECT_EQ(got.embed.cache_hit, i % 3 != 1) << "c=" << c << " i=" << i;
+    }
+  }
+  const ServerStats stats = rig.server->stats();
+  EXPECT_EQ(stats.solves, kConnections * kBurst);
+  EXPECT_EQ(stats.overloaded, 0u);
+  EXPECT_EQ(stats.timeouts, 0u);
+  EXPECT_EQ(stats.bad_frames, 0u);
+}
+
 TEST(NetServer, SessionWalkthroughMirrorsInProcessSession) {
   EngineOptions eopts;
   eopts.incremental_repair = true;

@@ -293,7 +293,7 @@ TEST(WireFuzz, GarbagePayloadsNeverMisbehave) {
   }
 }
 
-// --- STATS versioning -------------------------------------------------------
+// --- STATS ------------------------------------------------------------------
 
 WireStats sample_stats() {
   WireStats s;
@@ -306,100 +306,58 @@ WireStats sample_stats() {
   s.server.accepted = 9;
   s.server.frames_in = 120;
   s.server.solves = 101;
+  s.server.draining = true;
   s.has_session = true;
   s.session.adds = 5;
   s.session.solves = 6;
+  s.session.solve_micros_total = 12.5;
   s.repair.spliced = 2;
+  s.repair.repair_micros_total = 3.25;
   return s;
 }
 
-TEST(WireStatsVersioning, FabricSectionRoundTripsBitIdentically) {
-  WireStats s = sample_stats();
-  s.has_fabric = true;
-  s.fabric.queries = 101;
-  s.fabric.hot_keys = 3;
-  s.fabric.replica_reads = 17;
-  s.fabric.remap_events = 2;
-  s.fabric.remapped_keys = 11;
-  s.fabric.remap_rounds = 240;
-  s.fabric.remap_messages = 90000;
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    WireFabricShard shard;
-    shard.shard = i;
-    shard.alive = i != 2;
-    shard.keys_owned = 10 + i;
-    shard.queries = 100 * (i + 1);
-    shard.replica_reads = 5 * i;
-    shard.context_builds = 3 + i;
-    s.fabric.shards.push_back(shard);
+std::vector<std::uint8_t> stats_payload(const WireStats& s) {
+  std::vector<std::uint8_t> payload;
+  WireWriter w(payload);
+  encode_stats(w, s);
+  return payload;
+}
+
+TEST(WireStatsCodec, RoundTripIsBitIdenticalWithAndWithoutSession) {
+  for (const bool with_session : {true, false}) {
+    SCOPED_TRACE(with_session ? "with session" : "without session");
+    WireStats s = sample_stats();
+    s.has_session = with_session;
+    const std::vector<std::uint8_t> payload = stats_payload(s);
+    WireReader r(payload);
+    WireStats out;
+    ASSERT_TRUE(decode_stats(r, &out));
+    EXPECT_TRUE(r.exhausted());
+    EXPECT_EQ(stats_payload(out), payload);
+    EXPECT_EQ(out.engine.serve.queries, s.engine.serve.queries);
+    EXPECT_EQ(out.server.frames_in, s.server.frames_in);
+    EXPECT_TRUE(out.server.draining);
+    EXPECT_EQ(out.has_session, with_session);
+    if (with_session) {
+      EXPECT_EQ(out.session.solves, s.session.solves);
+      EXPECT_EQ(out.repair.spliced, s.repair.spliced);
+    }
   }
-  std::vector<std::uint8_t> payload;
-  WireWriter w(payload);
-  encode_stats(w, s);
-  WireReader r(payload);
-  WireStats out;
-  ASSERT_TRUE(decode_stats(r, &out));
-  EXPECT_TRUE(r.exhausted());
-  ASSERT_TRUE(out.has_fabric);
-  EXPECT_EQ(out.fabric, s.fabric);
 }
 
-TEST(WireStatsVersioning, AcceptsPreFabricPayload) {
-  // A pre-fabric peer's payload ends right after the session block — it
-  // does not even carry the has_fabric byte. Emulate it by truncating the
-  // trailing has_fabric = 0 byte the current encoder appends.
-  WireStats s = sample_stats();
-  std::vector<std::uint8_t> payload;
-  WireWriter w(payload);
-  encode_stats(w, s);
-  ASSERT_EQ(payload.back(), 0u);  // has_fabric byte of the new encoding
-  payload.pop_back();
-
-  WireReader r(payload);
-  WireStats out;
-  ASSERT_TRUE(decode_stats(r, &out));
-  EXPECT_TRUE(r.exhausted());
-  EXPECT_FALSE(out.has_fabric);
-  EXPECT_EQ(out.engine.serve.queries, s.engine.serve.queries);
-  EXPECT_TRUE(out.has_session);
-  EXPECT_EQ(out.session.solves, s.session.solves);
+TEST(WireStatsCodec, TrailingByteIsRejected) {
+  for (const bool with_session : {true, false}) {
+    SCOPED_TRACE(with_session ? "with session" : "without session");
+    WireStats s = sample_stats();
+    s.has_session = with_session;
+    std::vector<std::uint8_t> payload = stats_payload(s);
+    payload.push_back(0);
+    WireReader r(payload);
+    WireStats out;
+    EXPECT_FALSE(decode_stats(r, &out));
+  }
 }
 
-TEST(WireStatsVersioning, NoFabricEncodingDecodesWithoutFabric) {
-  WireStats s = sample_stats();
-  s.has_session = false;
-  std::vector<std::uint8_t> payload;
-  WireWriter w(payload);
-  encode_stats(w, s);
-  WireReader r(payload);
-  WireStats out;
-  ASSERT_TRUE(decode_stats(r, &out));
-  EXPECT_TRUE(r.exhausted());
-  EXPECT_FALSE(out.has_fabric);
-  EXPECT_FALSE(out.has_session);
-}
-
-TEST(WireStatsVersioning, HostileShardCountRejectedBeforeAllocation) {
-  WireStats s = sample_stats();
-  s.has_session = false;
-  s.has_fabric = true;
-  std::vector<std::uint8_t> payload;
-  WireWriter w(payload);
-  encode_stats(w, s);
-  // Corrupt the shard count (the final u32 of an empty-shard encoding) to
-  // claim 2^32 - 1 entries with no bytes behind them.
-  ASSERT_GE(payload.size(), 4u);
-  payload[payload.size() - 4] = 0xff;
-  payload[payload.size() - 3] = 0xff;
-  payload[payload.size() - 2] = 0xff;
-  payload[payload.size() - 1] = 0xff;
-  WireReader r(payload);
-  WireStats out;
-  EXPECT_FALSE(decode_stats(r, &out));
-}
-
-// A count field claiming more words than the payload holds must fail before
-// allocating (a hostile 0xffffffff count cannot OOM the decoder).
 TEST(WireFuzz, HostileCountsRejectedBeforeAllocation) {
   std::vector<std::uint8_t> payload;
   WireWriter w(payload);

@@ -32,8 +32,8 @@
 //
 // Part 2 hammers ShardedLruCache and ContextCache with concurrent readers
 // against a mutating writer (put/clear). They are the ThreadSanitizer
-// surface for the result cache's shard mutexes and the context cache's RCU
-// snapshot; value integrity is asserted from key-derived invariants.
+// surface for the result cache's shard mutexes and the context cache's
+// mutex; value integrity is asserted from key-derived invariants.
 //
 // Knobs (env): DBR_FUZZ_SCENARIOS  scenarios per strategy (default 200)
 //              DBR_FUZZ_SEED       base seed              (default 20260729)
@@ -247,8 +247,8 @@ TEST(SolveArena, LruCacheHammerKeepsHitsCoherent) {
 
 // Same shape for the context cache: concurrent get_or_build over more
 // shapes than the capacity admits (evictions) while a churn thread clears,
-// so lock-free hits race builds, evictions and snapshot republication.
-// Returned contexts must always be the right instance.
+// so hits race builds, evictions and clears. Returned contexts must always
+// be the right instance.
 TEST(SolveArena, ContextCacheHammerKeepsHitsCoherent) {
   struct Shape {
     Digit base;

@@ -11,11 +11,10 @@
 #include "verify/scenario.hpp"
 
 // Direct coverage for the bench-only workload header: the Zipf sampler's
-// skew shape, request-stream determinism, the multi-instance pool's
-// ordering and edge_fraction behavior, and the TrafficMatrix flow shapes
+// skew shape, request-stream determinism, and the TrafficMatrix flow shapes
 // the traffic simulation injects. These generators feed CI gates
-// (service-throughput, fabric and traffic smoke jobs), so their behavior
-// is pinned here rather than only observed through bench output.
+// (service-throughput and traffic smoke jobs), so their behavior is pinned
+// here rather than only observed through bench output.
 
 namespace dbr::bench {
 namespace {
@@ -86,47 +85,6 @@ TEST(Workload, FullRepeatFractionDrawsOnlyFromTheHotPool) {
     signatures.insert(sig);
   }
   EXPECT_LE(signatures.size(), unique);
-}
-
-// --- make_instance_pool ---
-
-TEST(Workload, InstancePoolIsSortedByNodeCountAndTruncates) {
-  const auto pool = make_instance_pool(12);
-  ASSERT_EQ(pool.size(), 12u);
-  for (std::size_t i = 0; i + 1 < pool.size(); ++i) {
-    EXPECT_LE(WordSpace(pool[i].base, pool[i].n).size(),
-              WordSpace(pool[i + 1].base, pool[i + 1].n).size());
-  }
-  // Oversized requests clamp to the full grid instead of failing.
-  const auto all = make_instance_pool(10000);
-  const auto again = make_instance_pool(10000);
-  EXPECT_EQ(all.size(), again.size());
-  EXPECT_GT(all.size(), 12u);
-  // Entries are distinct instances.
-  std::set<std::pair<std::uint64_t, unsigned>> seen;
-  for (const auto& inst : all) seen.insert({inst.base, inst.n});
-  EXPECT_EQ(seen.size(), all.size());
-}
-
-TEST(Workload, EdgeFractionOnlyTurnsWideBasesIntoEdgeSolves) {
-  Rng rng(9);
-  const auto stream = make_instance_stream(rng, 400, 12, 0.8, 0.0, 0, 0.0,
-                                           /*edge_fraction=*/1.0);
-  std::size_t edge = 0;
-  for (const auto& req : stream) {
-    if (req.fault_kind == service::FaultKind::kEdge) {
-      ++edge;
-      EXPECT_GE(req.base, 3u);  // base-2 instances never draw edge solves
-    }
-  }
-  EXPECT_GT(edge, 0u);
-
-  Rng rng2(9);
-  const auto none = make_instance_stream(rng2, 400, 12, 0.8, 0.0, 0, 0.0,
-                                         /*edge_fraction=*/0.0);
-  for (const auto& req : none) {
-    EXPECT_EQ(req.fault_kind, service::FaultKind::kNode);
-  }
 }
 
 // --- TrafficMatrix ---
