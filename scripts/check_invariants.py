@@ -9,8 +9,12 @@ hot-path-heap-alloc
     Functions taking a `SolveScratch&` in core/ffc.cpp, core/repair.cpp
     and core/mixed_fault.cpp are the allocation-free solve paths (the
     PR 7 guarantee): no heap-allocating container may be *constructed*
-    inside them. Reference bindings to scratch members
-    (`std::vector<Word>& x = s.foo;`) are allowed.
+    inside them, and no `std::to_string(` may appear there either — an
+    eager check message such as `require(ok, "word " + std::to_string(v))`
+    builds a string on every passing call; pass the parts to
+    `require_parts` (util/require.hpp), which joins them only on failure.
+    Reference bindings to scratch members (`std::vector<Word>& x = s.foo;`)
+    are allowed.
 
 naked-mutex
     All of src/ must lock through the annotated wrappers in
@@ -82,6 +86,8 @@ HEAP_CONTAINERS = (
 HEAP_CONTAINER_RE = re.compile(
     r"\bstd::(" + "|".join(HEAP_CONTAINERS) + r")\s*(<|\b)"
 )
+# A string built eagerly, typically a check message naming a value.
+EAGER_STRING_RE = re.compile(r"\bstd::to_string\s*\(")
 
 ALLOW_RE = re.compile(r"//\s*lint:allow\(([\w-]+)\)\s*:\s*(\S.*)")
 PRETEND_RE = re.compile(r"//\s*lint:pretend-path:\s*(\S+)")
@@ -230,6 +236,20 @@ def check_hot_path_heap_alloc(f: SourceFile) -> list[Violation]:
                     f"'{lm.group(0).strip()}' constructed inside a "
                     "SolveScratch-backed solve path (the PR 7 allocation-free "
                     "guarantee): use a scratch arena member instead",
+                )
+            )
+        for lm in EAGER_STRING_RE.finditer(body):
+            lineno = body_start_line + body.count("\n", 0, lm.start())
+            if f.allowed("hot-path-heap-alloc", lineno):
+                continue
+            out.append(
+                Violation(
+                    f.lint_path,
+                    lineno,
+                    "hot-path-heap-alloc",
+                    "'std::to_string(' inside a SolveScratch-backed solve "
+                    "path builds a string on every call: pass the message "
+                    "parts to require_parts, which formats only on failure",
                 )
             )
     return out

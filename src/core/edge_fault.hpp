@@ -47,7 +47,7 @@ std::optional<SymbolCycle> fault_free_hc_family_scan(
 // --- Context-backed solve phase (the context/solve split) ---
 //
 // Each solve_edge_* borrows a shared InstanceContext and performs only
-// fault-dependent work: the disjoint-HC family, its inverted edge index and
+// fault-dependent work: the disjoint-HC family, its flat edge index and
 // the per-prime-power maximal-cycle machinery are all taken from the
 // context. Answers are identical to the fault_free_* functions above on the
 // same instance and fault set.
@@ -56,8 +56,8 @@ std::optional<SymbolCycle> fault_free_hc_family_scan(
 std::optional<SymbolCycle> solve_edge_auto(const InstanceContext& ctx,
                                            std::span<const Word> faulty_edge_words);
 
-/// psi(d)-family selection via the context's inverted edge index: O(f)
-/// lookups instead of a full family scan.
+/// psi(d)-family selection via the context's flat edge-to-member index: O(f)
+/// lookups per candidate member instead of a full family scan.
 std::optional<SymbolCycle> solve_edge_scan(const InstanceContext& ctx,
                                            std::span<const Word> faulty_edge_words);
 

@@ -1,8 +1,8 @@
 #include "core/ffc.hpp"
 
 #include <algorithm>
-#include <bit>
 
+#include "core/succ_base.hpp"
 #include "graph/algorithms.hpp"
 #include "util/require.hpp"
 
@@ -22,32 +22,31 @@ struct ReverseDeBruijn {
   }
 };
 
-/// The per-node successor base of the De Bruijn shift rule,
-/// (u % suffix_count) * d == (u * d) % size, with the modulo
-/// strength-reduced to a mask when d^n is a power of two (every d = 2^k
-/// instance): the hardware division otherwise dominates the per-edge cost
-/// of the masked Tarjan and the broadcast BFS in the arena solve.
-struct SuccBase {
-  Word suffix_count;
-  Word d;
-  Word mask;
-  Word shift;  ///< log2(d), meaningful only when pow2
-  bool pow2;
-
-  explicit SuccBase(const WordSpace& ws)
-      : suffix_count(ws.size() / ws.radix()),
-        d(ws.radix()),
-        mask(ws.size() - 1),
-        shift(static_cast<Word>(std::countr_zero(static_cast<Word>(ws.radix())))),
-        pow2((ws.size() & (ws.size() - 1)) == 0) {}
-
-  Word operator()(Word u) const {
-    return pow2 ? (u * d) & mask : (u % suffix_count) * d;
+/// Moves the staged necklace edges s.edge_tmp into `out` in LabeledEdge
+/// order, (from, to, label) ascending, without a global sort: a counting
+/// sort on the from necklace's index (indices ascend with the reps), then
+/// each from bucket, a handful of edges, sorted on its own.
+void sort_necklace_edges(const LabelMergeTable& lm, std::size_t necklaces,
+                         SolveScratch& s, std::vector<LabeledEdge>& out) {
+  std::vector<std::uint32_t>& cursor = s.edge_bucket;
+  cursor.assign(necklaces + 1, 0);
+  for (const auto& e : s.edge_tmp) ++cursor[lm.necklace_index[e[0]] + 1];
+  for (std::size_t b = 1; b <= necklaces; ++b) cursor[b] += cursor[b - 1];
+  out.resize(s.edge_tmp.size());
+  for (const auto& [from, to, label] : s.edge_tmp) {
+    out[cursor[lm.necklace_index[from]]++] = {from, to, label};
   }
-
-  /// The shared predecessor suffix: preds of u are a * suffix_count + u / d.
-  Word pred_base(Word u) const { return pow2 ? u >> shift : u / d; }
-};
+  // cursor[b] now ends bucket b, which begins where bucket b - 1 ends.
+  std::size_t begin = 0;
+  for (std::size_t b = 0; b < necklaces; ++b) {
+    const std::size_t end = cursor[b];
+    if (end - begin > 1) {
+      std::sort(out.begin() + static_cast<std::ptrdiff_t>(begin),
+                out.begin() + static_cast<std::ptrdiff_t>(end));
+    }
+    begin = end;
+  }
+}
 
 }  // namespace
 
@@ -278,11 +277,11 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
 // Arena solve: the same FFC algorithm expressed against a reusable
 // SolveScratch and the context's precomputed label-merge tables. Bit
 // identity with the reference solve() above rests on the order-independence
-// of every tie-break: BFS parents are the *minimum* distance-(d-1)
-// predecessor, the distinguished component maximizes (size, -min_node), and
+// of every tie-break: BFS parents are the *minimum* predecessor one round
+// earlier, the distinguished component maximizes (size, -min_node), and
 // Steps 1.2/2 pick minima over whole member slices — so the work can be
 // reorganized (one SCC pass instead of SCC + two reachability BFS, flat
-// epoch-stamped tables instead of unordered_maps, CSR slices instead of
+// bitsets and arrays instead of unordered_maps, CSR slices instead of
 // freshly built necklace lists) without changing a single output byte. The
 // fuzz suite (test_solve_arena) enforces the claim across the scenario
 // corpus.
@@ -411,16 +410,15 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
   // component_of(active, root) is exactly the SCC of root, so the rootless
   // path reuses the Tarjan labels instead of two more reachability passes.
 
-  // Step 1.1's broadcast BFS (min-predecessor tie-break) over an explicit
-  // node mask, so the strong-connectivity fast path below can run it over
-  // `active` before B* is known.
+  // Step 1.1's broadcast BFS over an explicit node mask, so the
+  // strong-connectivity fast path below can run it over `active` before B*
+  // is known. It records rounds only: the one parent Step 1.2 needs per
+  // necklace is recovered from them there.
   std::uint32_t eccentricity = 0;
   std::uint64_t reached = 0;
   const auto broadcast = [&](Word r, const BitVec& mask) {
     s.dist.assign(size, kUnreached);
-    s.parent.resize(size);
     s.dist[r] = 0;
-    s.parent[r] = kNoWord;
     s.frontier.clear();
     s.frontier.push_back(r);
     reached = 1;
@@ -436,12 +434,9 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
           if (!mask.test(w)) continue;
           if (s.dist[w] == kUnreached) {
             s.dist[w] = du + 1;
-            s.parent[w] = u;
             s.frontier_next.push_back(w);
             ++reached;
             eccentricity = std::max(eccentricity, du + 1);
-          } else if (s.dist[w] == du + 1 && u < s.parent[w]) {
-            s.parent[w] = u;  // same round, smaller sender id wins
           }
         }
       }
@@ -565,8 +560,12 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
   ensure(root_rep == root, "root is canonical by construction");
 
   // --- Step 1.2: spanning tree T of N*: per component necklace, the leader
-  // is the member minimizing (broadcast round, id) over its CSR slice. ---
+  // is the member minimizing (broadcast round, id) over its CSR slice. Its
+  // broadcast parent is its smallest predecessor a.prefix(leader) reached
+  // one round earlier: exactly the sender the reference BFS keeps (the
+  // smaller id wins within a round), so no per-node parent array is kept. ---
   result.necklace_count = 0;
+  s.edge_tmp.clear();
   for (Word rep : nt.reps) {
     if (!s.comp.test(rep)) continue;
     ++result.necklace_count;
@@ -582,60 +581,89 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
       }
     }
     ensure(leader != kNoWord, "every component necklace has a leader");
-    const Word parent = s.parent[leader];
+    const Word pred_base = succ.pred_base(leader);
+    Word parent = kNoWord;
+    for (Digit a = 0; a < d; ++a) {
+      const Word u = a * suffix_count + pred_base;
+      if (s.dist[u] == best_dist - 1) {
+        parent = u;
+        break;
+      }
+    }
     ensure(parent != kNoWord, "non-root leader must have a broadcast parent");
     const Word parent_rep = nt.min_rot[parent];
     ensure(parent_rep != rep, "leader's parent lies in a different necklace");
-    result.tree_edges.push_back({parent_rep, rep, ws.prefix(leader)});
+    s.edge_tmp.push_back({parent_rep, rep, ws.prefix(leader)});
   }
-  std::sort(result.tree_edges.begin(), result.tree_edges.end());
+  sort_necklace_edges(lm, nt.reps.size(), s, result.tree_edges);
 
-  // --- Step 2: modify each label class T_w into a cycle. The flat
-  // parent-per-label table and one (label, child) sort replace the
-  // reference's two unordered_maps. ---
-  s.parent_by_label.begin(suffix_count);
-  s.label_pairs.clear();
-  for (const LabeledEdge& e : result.tree_edges) {
-    if (s.parent_by_label.contains(e.label)) {
-      ensure(s.parent_by_label.get(e.label) == e.from,
+  // --- Step 2: modify each label class T_w into a cycle over its members
+  // in ascending order. T_w is a height-one star (Step 1.2): all its edges
+  // leave one parent necklace, so with T sorted by (from, to) each class
+  // lies inside one parent's run, and only that run's (label, child) pairs
+  // are sorted. A label seen under a second parent breaks the property. ---
+  s.labels_seen.assign(suffix_count, false);
+  s.edge_tmp.clear();
+  const std::vector<LabeledEdge>& tree = result.tree_edges;
+  for (std::size_t i = 0; i < tree.size();) {
+    const Word parent = tree[i].from;
+    s.label_pairs.clear();
+    for (; i < tree.size() && tree[i].from == parent; ++i) {
+      s.label_pairs.emplace_back(tree[i].label, tree[i].to);
+    }
+    std::sort(s.label_pairs.begin(), s.label_pairs.end());
+    for (std::size_t j = 0; j < s.label_pairs.size();) {
+      const Word label = s.label_pairs[j].first;
+      ensure(!s.labels_seen.test(label),
              "T_w must have a common parent (height-one property, Step 1.2)");
-    } else {
-      s.parent_by_label.put(e.label, e.from);
+      s.labels_seen.set(label);
+      s.members_tmp.clear();
+      for (; j < s.label_pairs.size() && s.label_pairs[j].first == label; ++j) {
+        s.members_tmp.push_back(s.label_pairs[j].second);  // ascending by sort
+      }
+      s.members_tmp.insert(
+          std::lower_bound(s.members_tmp.begin(), s.members_tmp.end(), parent),
+          parent);
+      for (std::size_t k = 0; k < s.members_tmp.size(); ++k) {
+        s.edge_tmp.push_back(
+            {s.members_tmp[k], s.members_tmp[(k + 1) % s.members_tmp.size()],
+             label});
+      }
     }
-    s.label_pairs.emplace_back(e.label, e.to);
   }
-  std::sort(s.label_pairs.begin(), s.label_pairs.end());
-  for (std::size_t i = 0; i < s.label_pairs.size();) {
-    const Word label = s.label_pairs[i].first;
-    s.members_tmp.clear();
-    std::size_t j = i;
-    for (; j < s.label_pairs.size() && s.label_pairs[j].first == label; ++j) {
-      s.members_tmp.push_back(s.label_pairs[j].second);  // ascending by sort
-    }
-    const Word parent = s.parent_by_label.get(label);
-    s.members_tmp.insert(
-        std::lower_bound(s.members_tmp.begin(), s.members_tmp.end(), parent),
-        parent);
-    for (std::size_t k = 0; k < s.members_tmp.size(); ++k) {
-      result.modified_edges.push_back(
-          {s.members_tmp[k], s.members_tmp[(k + 1) % s.members_tmp.size()],
-           label});
-    }
-    i = j;
-  }
-  std::sort(result.modified_edges.begin(), result.modified_edges.end());
+  sort_necklace_edges(lm, nt.reps.size(), s, result.modified_edges);
 
-  // --- Step 3: successor rule, with exit/entry nodes served by the
-  // precomputed per-necklace label tables instead of necklace rescans. ---
-  s.reroute.begin(size);
+  // --- Step 3: successor rule. The only nodes that can carry label w are
+  // the d exit candidates a.w and the d entry candidates w.b, and those lie
+  // in pairwise-distinct necklaces (Section 2.2), so the exit node of [x]
+  // and the entry node of [y] are found by probing the candidates'
+  // necklace index; exactly one candidate of each kind must match. ---
+  s.rerouted.assign(size, false);
+  s.reroute_to.resize(size);
   for (const LabeledEdge& e : result.modified_edges) {
-    const Word exit_node = lm.exit_of(ws, lm.necklace_index[e.from], e.label);
-    const Word entry_node = lm.entry_of(ws, lm.necklace_index[e.to], e.label);
-    ensure(exit_node != kNoWord && entry_node != kNoWord,
-           "both endpoints of a D-edge expose the label");
-    ensure(!s.reroute.contains(exit_node),
+    const std::uint32_t from = lm.necklace_index[e.from];
+    const std::uint32_t to = lm.necklace_index[e.to];
+    const Word entry_base = e.label * d;
+    Word exit_node = kNoWord, entry_node = kNoWord;
+    unsigned exits = 0, entries = 0;
+    for (Digit a = 0; a < d; ++a) {
+      const Word x = a * suffix_count + e.label;
+      if (lm.necklace_index[x] == from) {
+        exit_node = x;
+        ++exits;
+      }
+      if (lm.necklace_index[entry_base + a] == to) {
+        entry_node = entry_base + a;
+        ++entries;
+      }
+    }
+    ensure(exits == 1 && entries == 1,
+           "each endpoint of a D-edge exposes the label exactly once "
+           "(Section 2.2)");
+    ensure(!s.rerouted.test(exit_node),
            "each node is rerouted by at most one D-edge");
-    s.reroute.put(exit_node, entry_node);
+    s.rerouted.set(exit_node);
+    s.reroute_to[exit_node] = entry_node;
   }
 
   // --- Walk H from the root (table-driven rotation successors). ---
@@ -647,7 +675,7 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
            "H must stay in B* and not revisit");
     s.visited.set(cur);
     result.cycle.nodes.push_back(cur);
-    cur = s.reroute.contains(cur) ? s.reroute.get(cur) : lm.rot_next[cur];
+    cur = s.rerouted.test(cur) ? s.reroute_to[cur] : lm.rot_next[cur];
   }
   ensure(cur == root, "H must close after |B*| steps (Proposition 2.1)");
   return result;

@@ -9,34 +9,18 @@
 
 namespace dbr::core {
 
-Word LabelMergeTable::exit_of(const WordSpace& ws, std::uint32_t i,
-                              Word label) const {
-  const auto begin = exit_sorted.begin() + static_cast<std::ptrdiff_t>(member_begin[i]);
-  const auto end = exit_sorted.begin() + static_cast<std::ptrdiff_t>(member_begin[i + 1]);
-  const auto it = std::lower_bound(
-      begin, end, label, [&ws](Word v, Word key) { return ws.suffix(v) < key; });
-  return (it != end && ws.suffix(*it) == label) ? *it : kNoWord;
-}
-
-Word LabelMergeTable::entry_of(const WordSpace& ws, std::uint32_t i,
-                               Word label) const {
-  const auto begin = entry_sorted.begin() + static_cast<std::ptrdiff_t>(member_begin[i]);
-  const auto end = entry_sorted.begin() + static_cast<std::ptrdiff_t>(member_begin[i + 1]);
-  const auto it = std::lower_bound(
-      begin, end, label, [&ws](Word v, Word key) { return ws.prefix(v) < key; });
-  return (it != end && ws.prefix(*it) == label) ? *it : kNoWord;
-}
-
 std::optional<std::size_t> PsiFamilyIndex::first_avoiding(
     std::span<const Word> faulty_edge_words) const {
-  std::vector<bool> hit(cycles.size(), false);
-  for (Word e : faulty_edge_words) {
-    const auto it = members_by_edge.find(e);
-    if (it == members_by_edge.end()) continue;
-    for (std::uint32_t c : it->second) hit[c] = true;
-  }
+  // Each fault rules out at most the one member traversing it, so at most
+  // f + 1 candidates are tried, each against every fault.
   for (std::size_t i = 0; i < cycles.size(); ++i) {
-    if (!hit[i]) return i;
+    const auto hits_i = [this, i](Word e) {
+      return e < member_by_edge.size() && member_by_edge[e] == i;
+    };
+    if (std::none_of(faulty_edge_words.begin(), faulty_edge_words.end(),
+                     hits_i)) {
+      return i;
+    }
   }
   return std::nullopt;
 }
@@ -95,27 +79,6 @@ const LabelMergeTable& InstanceContext::label_merge() const {
       } while (v != nt.reps[i]);
       t.member_begin.push_back(t.members.size());
     }
-    // Label views: each member slice re-sorted by its exit (suffix) resp.
-    // entry (prefix) label. Within one necklace both label maps are
-    // injective — a.w and b.w (resp. w.a and w.b) cannot share a rotation
-    // class (Section 2.2) — which is what makes exit_of/entry_of total
-    // functions on the labels a necklace exposes; verified here once so
-    // every solve may rely on it.
-    t.exit_sorted = t.members;
-    t.entry_sorted = t.members;
-    for (std::uint32_t i = 0; i < nt.reps.size(); ++i) {
-      const auto begin = static_cast<std::ptrdiff_t>(t.member_begin[i]);
-      const auto end = static_cast<std::ptrdiff_t>(t.member_begin[i + 1]);
-      std::sort(t.exit_sorted.begin() + begin, t.exit_sorted.begin() + end,
-                [&ws](Word a, Word b) { return ws.suffix(a) < ws.suffix(b); });
-      std::sort(t.entry_sorted.begin() + begin, t.entry_sorted.begin() + end);
-      for (std::ptrdiff_t j = begin + 1; j < end; ++j) {
-        ensure(ws.suffix(t.exit_sorted[j - 1]) != ws.suffix(t.exit_sorted[j]),
-               "exit labels are unique within a necklace (Section 2.2)");
-        ensure(ws.prefix(t.entry_sorted[j - 1]) != ws.prefix(t.entry_sorted[j]),
-               "entry labels are unique within a necklace (Section 2.2)");
-      }
-    }
     label_merge_table_ = std::move(t);
   });
   return label_merge_table_;
@@ -126,9 +89,16 @@ const PsiFamilyIndex& InstanceContext::psi_family() const {
   std::call_once(psi_once_, [this] {
     PsiFamilyIndex fam;
     fam.cycles = disjoint_hamiltonian_cycles(base(), words().length());
-    for (std::uint32_t i = 0; i < fam.cycles.size(); ++i) {
+    require(fam.cycles.size() < PsiFamilyIndex::kNoMember,
+            "psi(d) exceeds the 16-bit member index");
+    fam.member_by_edge.assign(words().edge_word_count(),
+                              PsiFamilyIndex::kNoMember);
+    for (std::uint16_t i = 0; i < fam.cycles.size(); ++i) {
       for (Word e : edge_words(words(), fam.cycles[i])) {
-        fam.members_by_edge[e].push_back(i);
+        ensure(fam.member_by_edge[e] == PsiFamilyIndex::kNoMember,
+               "psi-family members are pairwise edge-disjoint "
+               "(Proposition 3.1)");
+        fam.member_by_edge[e] = i;
       }
     }
     psi_ = std::move(fam);

@@ -28,46 +28,38 @@ struct NecklaceTable {
 /// every FFC-family solve on the instance: the necklace member lists
 /// flattened into CSR form (members of necklace i occupy
 /// members[member_begin[i], member_begin[i+1]) in rotation order from the
-/// representative), the necklace index of every word, the rotation
-/// successor of every word, and per-necklace label lookups — the same
-/// member slices re-sorted by (n-1)-digit suffix (exit labels) resp.
-/// prefix (entry labels). With these, Step 1.2 leader election walks a
+/// representative), the necklace index of every word, and the rotation
+/// successor of every word. With these, Step 1.2 leader election walks a
 /// CSR slice, and the Step-3 D-edge reroute finds "the node of [x] with
-/// suffix w" by binary search — no per-solve necklace rescans and no
-/// rebuilding of lists the context already knows.
+/// suffix w" by probing the d candidates a.w in necklace_index: they lie
+/// in pairwise-distinct necklaces (Section 2.2), so exactly one is in [x].
 struct LabelMergeTable {
   std::vector<std::uint32_t> necklace_index;  ///< word -> index into NecklaceTable::reps
   std::vector<std::uint64_t> member_begin;    ///< CSR offsets; size reps + 1
   std::vector<Word> members;      ///< words grouped by necklace, rotation order
   std::vector<Word> rot_next;     ///< rotate_left(x, 1) for every word x
-  std::vector<Word> exit_sorted;  ///< member slices re-sorted by suffix
-  std::vector<Word> entry_sorted; ///< member slices re-sorted by prefix
 
   /// Rotation period (member count) of necklace i.
   std::uint64_t period(std::uint32_t i) const {
     return member_begin[i + 1] - member_begin[i];
   }
-  /// The unique member of necklace i with the given (n-1)-digit suffix, or
-  /// kNoWord (~0) when the necklace does not expose that exit label.
-  Word exit_of(const WordSpace& ws, std::uint32_t i, Word label) const;
-  /// The unique member of necklace i with the given (n-1)-digit prefix, or
-  /// kNoWord (~0) when the necklace does not expose that entry label.
-  Word entry_of(const WordSpace& ws, std::uint32_t i, Word label) const;
 };
 
 /// The psi(d) pairwise disjoint Hamiltonian cycles of Proposition 3.2, plus
-/// an inverted index from edge word to the family members traversing it.
-/// Because members are pairwise edge-disjoint each edge maps to at most one
-/// cycle, so selecting the first member avoiding a fault set is O(f) lookups
-/// instead of a full O(psi * d^n) family scan. The index stores a member
-/// *list* per edge so the selection stays exact even for a hypothetical
-/// non-disjoint family.
+/// a flat index from edge word to the one family member traversing it.
+/// Members are pairwise edge-disjoint (Proposition 3.1; the build checks
+/// it), so each of the d^(n+1) edge words maps to at most one cycle, stored
+/// in 2 bytes, and selecting the first member avoiding a fault set costs
+/// O(f) lookups per candidate instead of a full O(psi * d^n) family scan.
 struct PsiFamilyIndex {
+  /// member_by_edge value of an edge no family member traverses.
+  static constexpr std::uint16_t kNoMember = 0xffff;
+
   std::vector<SymbolCycle> cycles;  ///< disjoint_hamiltonian_cycles order
-  std::unordered_map<Word, std::vector<std::uint32_t>> members_by_edge;
+  std::vector<std::uint16_t> member_by_edge;  ///< edge word -> cycle index
 
   /// Index of the first cycle using none of the given edge words; equivalent
-  /// to scanning `cycles` in order with avoids_edges.
+  /// to scanning `cycles` in order with avoids_edges. Allocates nothing.
   std::optional<std::size_t> first_avoiding(
       std::span<const Word> faulty_edge_words) const;
 };
@@ -101,15 +93,15 @@ class InstanceContext {
   /// Necklace decomposition behind the Chapter-2 FFC construction.
   const NecklaceTable& necklaces() const;
 
-  /// Precomputed Step-2 label-merge tables (CSR necklace members plus
-  /// per-necklace exit/entry node-by-label lookups); built lazily on first
-  /// use like every other section.
+  /// Precomputed Step-2 label-merge tables (CSR necklace members, necklace
+  /// index and rotation successor per word); built lazily on first use like
+  /// every other section.
   const LabelMergeTable& label_merge() const;
 
   /// True when the Section-3.3 edge-fault constructions apply (n >= 2).
   bool supports_edge_faults() const { return words().length() >= 2; }
 
-  /// Disjoint-HC family + inverted edge index. Requires n >= 2.
+  /// Disjoint-HC family + flat edge-to-member index. Requires n >= 2.
   const PsiFamilyIndex& psi_family() const;
 
   /// The maximal-cycle machinery of Section 3.2.1 for one prime-power factor

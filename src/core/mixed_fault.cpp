@@ -100,12 +100,11 @@ MixedResult solve_mixed(const InstanceContext& ctx,
   const std::vector<Word>& nodes = s.nodes_tmp;
   const std::vector<Word>& edges = s.edges_tmp;
   for (Word v : nodes) {
-    require(v < ws.size(),
-            "faulty node word " + std::to_string(v) + " out of range");
+    require_parts(v < ws.size(), "faulty node word ", v, " out of range");
   }
   for (Word e : edges) {
-    require(e < ws.edge_word_count(),
-            "faulty edge word " + std::to_string(e) + " out of range");
+    require_parts(e < ws.edge_word_count(), "faulty edge word ", e,
+                  " out of range");
   }
 
   MixedResult out;

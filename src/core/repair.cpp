@@ -6,6 +6,7 @@
 
 #include "core/ffc.hpp"
 #include "core/mixed_fault.hpp"
+#include "core/succ_base.hpp"
 
 namespace dbr::core {
 
@@ -50,6 +51,7 @@ class RingSplicer {
   /// must not outlive the scratch arena or share it with another splicer.
   RingSplicer(const InstanceContext& ctx, SolveScratch& s)
       : ws_(ctx.words()),
+        shift_(ctx.words()),
         min_rot_(ctx.necklaces().min_rot),
         s_(s),
         next_(s.ring_next),
@@ -61,17 +63,21 @@ class RingSplicer {
     next_.assign(ws_.size(), kAbsent);
     pred_.assign(ws_.size(), kAbsent);
     cover_ = 0;
-    if (ring.nodes.empty()) return false;
-    for (std::size_t i = 0; i < ring.nodes.size(); ++i) {
+    const std::size_t k = ring.nodes.size();
+    if (k == 0) return false;
+    // Every node is some step's v, so range-checking v (and nodes[0] up
+    // front) covers them all, and a repeated node repeats as a u, which
+    // finds its successor already set.
+    if (ring.nodes[0] >= ws_.size()) return false;
+    for (std::size_t i = 0; i < k; ++i) {
       const Word u = ring.nodes[i];
-      const Word v = ring.nodes[(i + 1) % ring.nodes.size()];
-      if (u >= ws_.size() || v >= ws_.size()) return false;
-      if (next_[u] != kAbsent || pred_[v] != kAbsent) return false;
-      if (ws_.suffix(u) != ws_.prefix(v)) return false;  // not an edge
+      const Word v = ring.nodes[i + 1 < k ? i + 1 : 0];
+      if (v >= ws_.size() || next_[u] != kAbsent) return false;
+      if (!shift_.adjacent(u, v)) return false;  // not an edge
       next_[u] = v;
       pred_[v] = u;
     }
-    cover_ = ring.nodes.size();
+    cover_ = k;
     return true;
   }
 
@@ -156,12 +162,15 @@ class RingSplicer {
     std::vector<std::uint32_t>& comp = s_.ring_comp;
     comp.assign(ws_.size(), kNoComp);
     std::uint32_t components = 0;
-    for (Word v = 0; v < ws_.size(); ++v) {
+    // Label each cycle; the scan stops once all cover_ nodes are labeled.
+    std::uint64_t labeled = 0;
+    for (Word v = first_covered(); labeled < cover_; ++v) {
       if (!covered(v) || comp[v] != kNoComp) continue;
       Word cur = v;
       do {
         comp[cur] = components;
         cur = next_[cur];
+        ++labeled;
       } while (cur != v);
       ++components;
     }
@@ -173,18 +182,17 @@ class RingSplicer {
       while (parent[c] != c) c = parent[c] = parent[parent[c]];
       return c;
     };
-    // label -> smallest covered node; labels are (n-1)-digit values.
-    EpochMap& anchor = s_.anchor;
-    anchor.begin(ws_.size() / ws_.radix());
+    // The nodes with label w are the d words b.w = b * d^(n-1) + w, so the
+    // ascending pass meets them block by block. A label's anchor is its
+    // smallest covered node, found by probing the earlier blocks; block 0
+    // holds only anchors, so the pass starts at block 1.
+    const Word block = shift_.suffix_count;
     std::uint32_t merged = components;
-    for (Word u = 0; u < ws_.size() && merged > 1; ++u) {
+    for (Word u = block; u < ws_.size() && merged > 1; ++u) {
       if (!covered(u)) continue;
-      const Word label = ws_.suffix(u);
-      if (!anchor.contains(label)) {
-        anchor.put(label, u);
-        continue;
-      }
-      const Word a = anchor.get(label);
+      Word a = shift_.suffix(u);
+      while (a < u && !covered(a)) a += block;
+      if (a == u) continue;  // u anchors its label
       const std::uint32_t ra = find(comp[a]);
       const std::uint32_t ru = find(comp[u]);
       if (ra == ru) continue;
@@ -227,13 +235,20 @@ class RingSplicer {
       *why = RepairFallback::kRingVanished;
       return std::nullopt;
     }
-    Word start = kAbsent;
-    for (Word v = 0; v < ws_.size(); ++v) {
-      if (covered(v)) {
-        start = v;
-        break;
-      }
-    }
+    const Word start = first_covered();
+    // The walk visits covered nodes and takes their next_ steps only, so
+    // it can meet a forbidden node (edge) only when one is covered
+    // (traversed): checked once here, which keeps the per-step searches
+    // off the common walk.
+    const bool check_nodes = std::any_of(
+        forbidden_nodes.begin(), forbidden_nodes.end(),
+        [this](Word f) { return f < ws_.size() && covered(f); });
+    const bool check_edges = std::any_of(
+        forbidden_edges.begin(), forbidden_edges.end(), [this](Word e) {
+          const Word u = e / shift_.d;
+          return u < ws_.size() && covered(u) &&
+                 shift_.tail(next_[u]) == e % shift_.d;
+        });
     NodeCycle out;
     out.nodes.reserve(cover_);
     Word cur = start;
@@ -242,15 +257,15 @@ class RingSplicer {
         *why = RepairFallback::kMalformedRing;
         return std::nullopt;
       }
-      if (std::binary_search(forbidden_nodes.begin(), forbidden_nodes.end(),
-                             cur)) {
+      if (check_nodes && std::binary_search(forbidden_nodes.begin(),
+                                            forbidden_nodes.end(), cur)) {
         *why = RepairFallback::kTouchesFault;
         return std::nullopt;
       }
       const Word nxt = next_[cur];
-      if (!forbidden_edges.empty() &&
+      if (check_edges &&
           std::binary_search(forbidden_edges.begin(), forbidden_edges.end(),
-                             ws_.edge_word(cur, ws_.tail(nxt)))) {
+                             ws_.edge_word(cur, shift_.tail(nxt)))) {
         *why = RepairFallback::kTouchesFault;
         return std::nullopt;
       }
@@ -270,7 +285,15 @@ class RingSplicer {
   }
 
  private:
+  /// The smallest covered node; cover_ must be nonzero.
+  Word first_covered() const {
+    Word v = 0;
+    while (!covered(v)) ++v;
+    return v;
+  }
+
   const WordSpace& ws_;
+  const SuccBase shift_;              // division-free suffix/tail/adjacency
   const std::vector<Word>& min_rot_;  // borrowed from the context
   SolveScratch& s_;                   // reconnect workspaces
   std::vector<Word>& next_;           // scratch ring_next; kAbsent = not covered
@@ -284,15 +307,17 @@ class RingSplicer {
 /// traverses none of them; kMalformedRing on out-of-range nodes.
 void scan_hamiltonian(const WordSpace& ws, const NodeCycle& ring,
                       std::span<const Word> new_faults, RepairOutcome* out) {
-  for (std::size_t i = 0; i < ring.nodes.size(); ++i) {
+  const SuccBase shift(ws);
+  const std::size_t k = ring.nodes.size();
+  for (std::size_t i = 0; i < k; ++i) {
     const Word u = ring.nodes[i];
-    const Word v = ring.nodes[(i + 1) % ring.nodes.size()];
+    const Word v = ring.nodes[i + 1 < k ? i + 1 : 0];
     if (u >= ws.size() || v >= ws.size()) {
       out->fallback = RepairFallback::kMalformedRing;
       return;
     }
     if (new_faults.empty()) continue;  // still validating node range
-    const Word e = ws.edge_word(u, ws.tail(v));
+    const Word e = ws.edge_word(u, shift.tail(v));
     if (std::binary_search(new_faults.begin(), new_faults.end(), e)) {
       out->fallback = RepairFallback::kCrossesFamily;
       return;

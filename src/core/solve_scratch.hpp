@@ -1,6 +1,6 @@
 #pragma once
 
-#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -9,42 +9,6 @@
 #include "util/word.hpp"
 
 namespace dbr::core {
-
-/// Flat Word -> Word map over a dense key range with O(1) clear: a slot is
-/// live only while its stamp matches the current epoch, so begin() retires
-/// every entry with a counter bump instead of an O(range) fill. Backs the
-/// per-solve reroute table (Step 3) and the label-keyed lookups (Step 2,
-/// repair reconnect anchors) that used to be per-solve unordered_maps.
-class EpochMap {
- public:
-  /// Starts a fresh map over keys [0, range); retires all previous entries.
-  void begin(std::size_t range) {
-    if (value_.size() != range) {
-      value_.assign(range, 0);
-      stamp_.assign(range, 0);
-      epoch_ = 1;
-      return;
-    }
-    if (++epoch_ == 0) {  // stamp wraparound: invalidate stale stamps once
-      std::fill(stamp_.begin(), stamp_.end(), 0);
-      epoch_ = 1;
-    }
-  }
-  /// True when `key` holds a live entry.
-  bool contains(std::size_t key) const { return stamp_[key] == epoch_; }
-  /// The live value at `key`; contains(key) must hold (unchecked).
-  Word get(std::size_t key) const { return value_[key]; }
-  /// Inserts or overwrites the entry at `key`.
-  void put(std::size_t key, Word v) {
-    stamp_[key] = epoch_;
-    value_[key] = v;
-  }
-
- private:
-  std::vector<Word> value_;
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t epoch_ = 0;
-};
 
 /// Reusable scratch arena for the solve/repair hot paths (core/ffc,
 /// core/mixed_fault, core/repair). Holds every internal mask, queue,
@@ -68,8 +32,7 @@ struct SolveScratch {
   BitVec on_stack;  ///< Tarjan SCC stack membership
 
   // -- BFS workspace --
-  std::vector<std::uint32_t> dist;  ///< broadcast distances
-  std::vector<Word> parent;         ///< broadcast parents (min-predecessor)
+  std::vector<std::uint32_t> dist;  ///< broadcast rounds (distances)
   std::vector<Word> frontier;       ///< current BFS level
   std::vector<Word> frontier_next;  ///< next BFS level
 
@@ -89,12 +52,17 @@ struct SolveScratch {
   std::vector<std::uint64_t> comp_size; ///< per-component node count
   std::vector<Word> comp_min;           ///< per-component minimum node
 
-  // -- FFC Steps 2-3 --
+  // -- FFC Steps 1.2-3 --
   std::vector<Word> reps_tmp;       ///< faulty-rep staging (sort + dedup)
-  EpochMap parent_by_label;         ///< Step 2: label -> common parent rep
-  std::vector<std::pair<Word, Word>> label_pairs;  ///< Step 2: (label, child rep)
+  /// Steps 1.2/2: staged (from, to, label) necklace edges, bucketed by
+  /// their from necklace into FfcResult's sorted order.
+  std::vector<std::array<Word, 3>> edge_tmp;
+  std::vector<std::uint32_t> edge_bucket;  ///< counting-sort cursor per necklace
+  BitVec labels_seen;               ///< Step 2: labels whose class T_w is built
+  std::vector<std::pair<Word, Word>> label_pairs;  ///< Step 2: one parent's (label, child rep)
   std::vector<Word> members_tmp;    ///< Step 2: one label class, sorted
-  EpochMap reroute;                 ///< Step 3: exit node -> entry node
+  BitVec rerouted;                  ///< Step 3: exit nodes of D-edges
+  std::vector<Word> reroute_to;     ///< Step 3: entry node, where rerouted is set
 
   // -- mixed-fault solve --
   BitVec faulty_neck;               ///< faulty flag per necklace index
@@ -108,7 +76,6 @@ struct SolveScratch {
   std::vector<std::uint32_t> ring_comp;      ///< cycle id per covered node
   std::vector<std::uint32_t> uf_parent;      ///< union-find over cycle ids
   std::vector<std::uint64_t> ring_comp_size; ///< per-cycle cover count
-  EpochMap anchor;                           ///< reconnect: label -> anchor node
   std::vector<Word> delta_tmp;               ///< fault-set difference staging
   std::vector<Word> excised_tmp;             ///< reps retired by this repair
 };

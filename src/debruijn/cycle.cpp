@@ -78,14 +78,42 @@ bool is_hamiltonian(const WordSpace& ws, const SymbolCycle& c) {
   return c.symbols.size() == ws.size() && is_cycle(ws, c);
 }
 
-std::vector<Word> edge_words(const WordSpace& ws, const SymbolCycle& c) {
+namespace {
+
+/// Calls keep_going(e) with the edge words e_0, e_1, ... of the cycle in
+/// traversal order, stopping at the first false; returns false iff it
+/// stopped early. e_i is the (n+1)-window s_i ... s_(i+n), and each one is
+/// its predecessor shifted by one digit, written as in to_node_cycle:
+/// e d + (s_(i+n+1) - s_i d^(n+1)). Here e d may pass 2^64, but every
+/// term wraps mod 2^64 and the true result is below d^(n+1), which
+/// WordSpace guarantees fits, so the sum is exact.
+template <typename Fn>
+bool for_each_edge_word(const WordSpace& ws, const SymbolCycle& c,
+                        Fn&& keep_going) {
   const std::size_t k = c.symbols.size();
-  std::vector<Word> out;
-  out.reserve(k);
+  if (k == 0) return true;
+  const Word d = ws.radix();
+  const Word span = ws.edge_word_count();  // d^(n+1)
+  Word e = 0;
+  for (unsigned j = 0; j <= ws.length(); ++j) e = e * d + c.symbols[j % k];
+  std::size_t ahead = (ws.length() + 1) % k;  // index of s_(i+n+1) mod k
   for (std::size_t i = 0; i < k; ++i) {
-    const Word u = window_at(ws, c, i);
-    out.push_back(ws.edge_word(u, c.symbols[(i + ws.length()) % k]));
+    if (!keep_going(e)) return false;
+    e = e * d + (c.symbols[ahead] - c.symbols[i] * span);
+    if (++ahead == k) ahead = 0;
   }
+  return true;
+}
+
+}  // namespace
+
+std::vector<Word> edge_words(const WordSpace& ws, const SymbolCycle& c) {
+  std::vector<Word> out;
+  out.reserve(c.symbols.size());
+  for_each_edge_word(ws, c, [&out](Word e) {
+    out.push_back(e);
+    return true;
+  });
   return out;
 }
 
@@ -110,12 +138,22 @@ bool edges_disjoint(const WordSpace& ws, const SymbolCycle& a, const SymbolCycle
 
 bool avoids_edges(const WordSpace& ws, const SymbolCycle& c,
                   std::span<const Word> faulty_edge_words) {
-  const std::unordered_set<Word> faulty(faulty_edge_words.begin(),
-                                        faulty_edge_words.end());
-  for (Word e : edge_words(ws, c)) {
-    if (faulty.contains(e)) return false;
+  if (faulty_edge_words.empty()) return true;
+  // The paper's fault budgets are a few edges: compare each window with
+  // every fault. A long list, which a request may carry, is sorted once and
+  // binary-searched, so the pass stays O(k log f).
+  constexpr std::size_t kCompareAll = 16;
+  if (faulty_edge_words.size() <= kCompareAll) {
+    return for_each_edge_word(ws, c, [faulty_edge_words](Word e) {
+      return std::find(faulty_edge_words.begin(), faulty_edge_words.end(),
+                       e) == faulty_edge_words.end();
+    });
   }
-  return true;
+  std::vector<Word> sorted(faulty_edge_words.begin(), faulty_edge_words.end());
+  std::sort(sorted.begin(), sorted.end());
+  return for_each_edge_word(ws, c, [&sorted](Word e) {
+    return !std::binary_search(sorted.begin(), sorted.end(), e);
+  });
 }
 
 NodeCycle canonical_rotation(const WordSpace& ws, NodeCycle c) {

@@ -54,7 +54,9 @@ bool is_cycle(const WordSpace& ws, const SymbolCycle& c);
 bool is_hamiltonian(const WordSpace& ws, const NodeCycle& c);
 bool is_hamiltonian(const WordSpace& ws, const SymbolCycle& c);
 
-/// The k edge words ((n+1)-windows) of the cycle, in traversal order.
+/// The k edge words ((n+1)-windows) of the cycle, in traversal order. The
+/// symbol-cycle form slides one window along the cycle: one multiply-add
+/// per edge, as in to_node_cycle.
 std::vector<Word> edge_words(const WordSpace& ws, const SymbolCycle& c);
 std::vector<Word> edge_words(const WordSpace& ws, const NodeCycle& c);
 
@@ -62,7 +64,10 @@ std::vector<Word> edge_words(const WordSpace& ws, const NodeCycle& c);
 /// Hamiltonian cycles simply "disjoint", Section 3.1).
 bool edges_disjoint(const WordSpace& ws, const SymbolCycle& a, const SymbolCycle& b);
 
-/// True if the cycle uses none of the given faulty edge words.
+/// True if the cycle uses none of the given faulty edge words. One sliding
+/// pass over the cycle's edge windows that stops at the first faulty one;
+/// it allocates nothing for up to 16 faults, and a longer list costs one
+/// sorted copy.
 bool avoids_edges(const WordSpace& ws, const SymbolCycle& c,
                   std::span<const Word> faulty_edge_words);
 

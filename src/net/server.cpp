@@ -320,8 +320,16 @@ void Server::accept_ready() {
     const int fd =
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
-      return;  // transient accept failure; the listener stays armed
+      if (errno == EMFILE || errno == ENFILE) {
+        // Out of descriptors: the peer waits in the backlog, and the
+        // level-triggered listener would report it again at once, spinning
+        // the loop. Disarm it until close_connection frees a descriptor.
+        epoll_event ev{};
+        ev.data.u64 = kListenerTag;
+        ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, &ev);
+        accept_paused_ = true;
+      }
+      return;  // EAGAIN/EINTR, or a transient failure: the listener stays armed
     }
     if (draining_.load(std::memory_order_relaxed) ||
         conns_.size() >= options_.max_connections) {
@@ -531,6 +539,13 @@ void Server::close_connection(std::uint64_t id) {
     ::close(conn.fd);
     conn.fd = -1;
     open_conns_.fetch_sub(1, std::memory_order_relaxed);
+    if (accept_paused_ && listen_fd_ >= 0) {  // a descriptor is free again
+      epoll_event ev{};
+      ev.events = EPOLLIN;
+      ev.data.u64 = kListenerTag;
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, &ev);
+      accept_paused_ = false;
+    }
   }
   conn.broken = true;
   // Dropped ops must release their admission slots.

@@ -199,6 +199,9 @@ class Server {
   /// Connection ids double as epoll user data; 0 and 1 tag the listener and
   /// the eventfd, so connections start at 2.
   std::uint64_t next_conn_id_ = 2;
+  /// The listener is disarmed because accept ran out of descriptors
+  /// (EMFILE/ENFILE); close_connection re-arms it. Loop thread only.
+  bool accept_paused_ = false;
 
   util::Mutex pool_mu_;
   util::CondVar pool_cv_;

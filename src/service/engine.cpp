@@ -68,14 +68,12 @@ void require_preconditions(const CacheKey& key, const WordSpace& ws) {
   const bool node_words = key.fault_kind != FaultKind::kEdge;
   const Word limit = node_words ? ws.size() : ws.edge_word_count();
   for (Word f : key.faults) {
-    require(f < limit, "fault word " + std::to_string(f) +
-                           " out of range for B(" + std::to_string(key.base) +
-                           "," + std::to_string(key.n) + ")");
+    require_parts(f < limit, "fault word ", f, " out of range for B(",
+                  key.base, ",", key.n, ")");
   }
   for (Word f : key.edge_faults) {
-    require(f < ws.edge_word_count(),
-            "fault word " + std::to_string(f) + " out of range for B(" +
-                std::to_string(key.base) + "," + std::to_string(key.n) + ")");
+    require_parts(f < ws.edge_word_count(), "fault word ", f,
+                  " out of range for B(", key.base, ",", key.n, ")");
   }
 }
 

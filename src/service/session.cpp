@@ -93,9 +93,8 @@ bool EmbedSession::add_fault(Word fault) {
 
 bool EmbedSession::add_fault(FaultKind kind, Word fault) {
   const auto [live, limit] = track(kind);
-  require(fault < limit,
-          "fault word " + std::to_string(fault) + " out of range for B(" +
-              std::to_string(key_.base) + "," + std::to_string(key_.n) + ")");
+  require_parts(fault < limit, "fault word ", fault, " out of range for B(",
+                key_.base, ",", key_.n, ")");
   const auto it = std::lower_bound(live->begin(), live->end(), fault);
   if (it != live->end() && *it == fault) {
     ++stats_.noop_mutations;  // already faulty: nothing changes, no re-solve

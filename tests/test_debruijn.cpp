@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "cycle_corpus.hpp"
 #include "debruijn/cycle.hpp"
@@ -265,6 +266,41 @@ TEST(Cycles, SlidingWindowsMatchWindowAtOnTheCorpus) {
           << ", index " << i;
     }
     ++cycles;
+  });
+  EXPECT_GT(cycles, 3000u);
+}
+
+TEST(Cycles, SlidingEdgeWindowsMatchWindowAtOnTheCorpus) {
+  // edge_words slides one (n+1)-window; the reference assembles each edge
+  // from window_at and the symbol after it. avoids_edges must agree with a
+  // membership test, for a short fault list and for a long unsorted one.
+  std::size_t cycles = 0;
+  test::for_each_corpus_cycle([&](const WordSpace& ws, const SymbolCycle& c) {
+    const std::size_t k = c.length();
+    const std::vector<Word> edges = edge_words(ws, c);
+    ASSERT_EQ(edges.size(), k);
+    for (std::size_t i = 0; i < k; ++i) {
+      ASSERT_EQ(edges[i], ws.edge_word(window_at(ws, c, i),
+                                       c.symbols[(i + ws.length()) % k]))
+          << "B(" << ws.radix() << "," << ws.length() << "), k=" << k
+          << ", index " << i;
+    }
+    if (cycles++ % 16 != 0) return;
+    std::vector<Word> sorted = edges;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<Word> absent;  // the smallest edge words the cycle skips
+    for (Word e = 0; absent.size() < 20 && e < ws.edge_word_count(); ++e) {
+      if (!std::binary_search(sorted.begin(), sorted.end(), e)) absent.push_back(e);
+    }
+    const std::vector<Word> few(absent.begin(),
+                                absent.begin() + std::min<std::size_t>(3, absent.size()));
+    EXPECT_TRUE(avoids_edges(ws, c, few));
+    EXPECT_TRUE(avoids_edges(ws, c, absent));
+    std::vector<Word> hit = absent;
+    hit.push_back(edges[k / 2]);
+    std::reverse(hit.begin(), hit.end());
+    EXPECT_FALSE(avoids_edges(ws, c, hit));
+    EXPECT_FALSE(avoids_edges(ws, c, std::vector<Word>{edges[k - 1]}));
   });
   EXPECT_GT(cycles, 3000u);
 }

@@ -2,12 +2,17 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/eventfd.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <ctime>
+#include <filesystem>
 #include <fstream>
 #include <span>
 #include <string>
@@ -705,6 +710,91 @@ TEST(NetServer, NeverReadingClientIsHeldAtTheOutputCap) {
     ASSERT_EQ(embed.ring, local.result->ring.nodes) << "id=" << id;
   }
   writer.join();
+}
+
+/// CPU seconds this process (server threads and test alike) has used.
+double process_cpu_seconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// Lowers this process's soft RLIMIT_NOFILE to a few descriptors above the
+/// highest one open, and restores the old limit (closing the spare
+/// descriptors it handed out) when it goes out of scope.
+class FdLimit {
+ public:
+  explicit FdLimit(int headroom) {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    int highest = 2;
+    for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+      highest = std::max(highest, std::stoi(entry.path().filename().string()));
+    }
+    rlimit lowered = saved_;
+    lowered.rlim_cur = static_cast<rlim_t>(highest + 1 + headroom);
+    lowered_ = ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+  }
+  ~FdLimit() {
+    for (int fd : spares_) ::close(fd);
+    ::setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+  FdLimit(const FdLimit&) = delete;
+  FdLimit& operator=(const FdLimit&) = delete;
+
+  bool lowered() const { return lowered_; }
+
+  /// Takes every free descriptor under the limit; true when the last
+  /// attempt failed with EMFILE, i.e. the process is at its limit.
+  bool exhaust() {
+    for (;;) {
+      const int fd = ::eventfd(0, EFD_CLOEXEC);
+      if (fd < 0) return errno == EMFILE;
+      spares_.push_back(fd);
+    }
+  }
+  /// Frees one descriptor taken by exhaust().
+  void release_one() {
+    ::close(spares_.back());
+    spares_.pop_back();
+  }
+
+ private:
+  rlimit saved_{};
+  bool lowered_ = false;
+  std::vector<int> spares_;
+};
+
+TEST(NetServer, AcceptAtTheDescriptorLimitWaitsWithoutSpinning) {
+  Rig rig;
+  const EmbedRequest req = node_request(2, 10, {7});
+  ASSERT_EQ(rig.client.solve(req, false).status, WireStatus::kOk);
+  const std::uint64_t accepted_before = rig.server->stats().accepted;
+  {
+    FdLimit limit(/*headroom=*/8);
+    ASSERT_TRUE(limit.lowered());
+    ASSERT_TRUE(limit.exhaust());
+    limit.release_one();
+    // The client socket takes the last descriptor; the handshake completes
+    // in the listen backlog, and the server's accept fails with EMFILE.
+    RawConn waiting(rig.server->port());
+    ASSERT_TRUE(waiting.connected());
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(rig.server->stats().accepted, accepted_before);
+
+    const double cpu_before = process_cpu_seconds();
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    const double cpu_used = process_cpu_seconds() - cpu_before;
+    EXPECT_LT(cpu_used, 0.1) << "the event loop spun on the unacceptable peer";
+
+    // Closing a connection frees descriptors on both ends; the server then
+    // accepts the waiting peer, which gets its answer.
+    rig.client.close();
+    ASSERT_TRUE(waiting.send(solve_frame(1, req, false)));
+    const std::vector<std::uint8_t> reply = waiting.read_frame();
+    const WireEmbed embed = decode_solve_reply(reply);
+    EXPECT_EQ(embed.status, EmbedStatus::kOk);
+    EXPECT_EQ(rig.server->stats().accepted, accepted_before + 1);
+  }
 }
 
 }  // namespace
