@@ -1,7 +1,8 @@
 // Verifies the O(K + n) communication complexity of the distributed FFC
 // protocol (Section 2.4): per-phase round counts across network sizes, the
 // broadcast phase tracking eccentricity(R) + 1, and wall-clock scaling of
-// the centralized solver.
+// the centralized solve (solve_ffc on a built context and a warm arena)
+// across node counts and bases: its per-node cost should not grow with d.
 
 #include <iostream>
 
@@ -69,14 +70,17 @@ void print_tables() {
 void BM_CentralizedSolve(benchmark::State& state) {
   const Digit d = static_cast<Digit>(state.range(0));
   const unsigned n = static_cast<unsigned>(state.range(1));
-  const core::FfcSolver solver{DeBruijnDigraph(d, n)};
+  const auto ctx = core::InstanceContext::make(d, n);
+  core::SolveScratch scratch;
   Rng rng(1);
-  const auto faults = rng.sample_distinct(solver.graph().num_nodes(), 3);
+  const auto faults = rng.sample_distinct(ctx->words().size(), 3);
+  // The first solve builds the context's tables and sizes the arena.
+  benchmark::DoNotOptimize(core::solve_ffc(*ctx, faults, scratch).bstar_size);
   for (auto _ : state) {
-    auto r = solver.solve(faults);
+    auto r = core::solve_ffc(*ctx, faults, scratch);
     benchmark::DoNotOptimize(r.bstar_size);
   }
-  state.SetComplexityN(static_cast<std::int64_t>(solver.graph().num_nodes()));
+  state.SetComplexityN(static_cast<std::int64_t>(ctx->words().size()));
 }
 BENCHMARK(BM_CentralizedSolve)
     ->Args({2, 8})
@@ -86,6 +90,10 @@ BENCHMARK(BM_CentralizedSolve)
     ->Args({4, 5})
     ->Args({4, 6})
     ->Args({4, 7})
+    ->Args({16, 3})
+    ->Args({32, 2})
+    ->Args({64, 2})
+    ->Args({100, 2})
     ->Complexity(benchmark::oN);
 
 void BM_DistributedProtocol(benchmark::State& state) {

@@ -280,11 +280,13 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
 // of every tie-break: BFS parents are the *minimum* predecessor one round
 // earlier, the distinguished component maximizes (size, -min_node), and
 // Steps 1.2/2 pick minima over whole member slices — so the work can be
-// reorganized (one SCC pass instead of SCC + two reachability BFS, flat
-// bitsets and arrays instead of unordered_maps, CSR slices instead of
-// freshly built necklace lists) without changing a single output byte. The
-// fuzz suite (test_solve_arena) enforces the claim across the scenario
-// corpus.
+// reorganized (sweeps that expand each (n-1)-word block once instead of
+// probing d neighbours per node, an SCC pass only when the active graph is
+// disconnected, lookups instead of Step-1.2 parent and Step-3 endpoint
+// searches, flat bitsets and arrays instead of unordered_maps, CSR slices
+// instead of freshly built necklace lists) without changing a single output
+// byte. The fuzz suite (test_solve_arena) enforces the claim across the
+// scenario corpus and a set of wide-base and n <= 2 shapes.
 
 std::pair<Word, std::uint64_t> FfcSolver::largest_component_arena(
     SolveScratch& s) const {
@@ -407,150 +409,118 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
   result.faulty_node_count = removed;
 
   // --- Choose the distinguished node R and its component B*. ---
-  // component_of(active, root) is exactly the SCC of root, so the rootless
-  // path reuses the Tarjan labels instead of two more reachability passes.
+  // In B(d,n) the d words a.w share one out-neighbourhood {w.b} and the d
+  // words w.b share one in-neighbourhood {a.w}: the label-w structure of
+  // Section 2.2. Both sweeps below expand each (n-1)-word block once, so a
+  // solve costs O(1) per node whatever the base d.
 
-  // Step 1.1's broadcast BFS over an explicit node mask, so the
-  // strong-connectivity fast path below can run it over `active` before B*
-  // is known. It records rounds only: the one parent Step 1.2 needs per
-  // necklace is recovered from them there.
+  // Step 1.1's broadcast over an explicit node mask. A round walks its
+  // frontier; the first node with suffix w to appear expands block w,
+  // giving every active, unreached w.b the next round, and block_first[w]
+  // keeps the smallest node with suffix w in that round. Rounds equal a
+  // node-by-node BFS's (a loop carries nothing: a^n is reached before its
+  // own block expands). block_first[w] is the smallest predecessor of each
+  // w.b one round earlier, the sender the reference BFS keeps, so Step 1.2
+  // reads a leader's parent off it.
   std::uint32_t eccentricity = 0;
   std::uint64_t reached = 0;
   const auto broadcast = [&](Word r, const BitVec& mask) {
     s.dist.assign(size, kUnreached);
+    s.block_first.assign(suffix_count, kNoWord);
     s.dist[r] = 0;
-    s.frontier.clear();
-    s.frontier.push_back(r);
+    s.frontier.assign(1, r);
     reached = 1;
     eccentricity = 0;
-    while (!s.frontier.empty()) {
+    for (std::uint32_t round = 0; !s.frontier.empty(); ++round) {
       s.frontier_next.clear();
       for (Word u : s.frontier) {
-        const std::uint32_t du = s.dist[u];
-        const Word base = succ(u);
-        for (Digit a = 0; a < d; ++a) {
-          const Word w = base + a;
-          if (w == u) continue;  // loops carry no broadcast information
-          if (!mask.test(w)) continue;
-          if (s.dist[w] == kUnreached) {
-            s.dist[w] = du + 1;
-            s.frontier_next.push_back(w);
-            ++reached;
-            eccentricity = std::max(eccentricity, du + 1);
+        const Word w = succ.suffix(u);
+        Word& first = s.block_first[w];
+        if (first != kNoWord) {
+          if (u < first && s.dist[first] == round) first = u;
+          continue;
+        }
+        first = u;
+        const Word base = w * d;
+        for (Digit b = 0; b < d; ++b) {
+          if (mask.test(base + b) && s.dist[base + b] == kUnreached) {
+            s.dist[base + b] = round + 1;
+            s.frontier_next.push_back(base + b);
           }
         }
       }
+      if (!s.frontier_next.empty()) eccentricity = round + 1;
+      reached += s.frontier_next.size();
       s.frontier.swap(s.frontier_next);
     }
   };
 
+  // B* is R's strongly connected component, and R is an explicit root's
+  // representative or else the smallest node of the largest component.
+  // Faults remove whole necklaces and N*'s edges come in antiparallel pairs
+  // (Section 2.2: a.w -> w.b, and b.w -> w.a joins the same two necklaces
+  // back), so every node R reaches reaches R back: B* is the broadcast's
+  // reach from R. Without a root, that reach is every active node in the
+  // overwhelmingly common case under few faults; then R is the smallest
+  // active node, as the reference's scan picks, and the Tarjan pass is
+  // skipped. Otherwise the active graph is disconnected and Tarjan picks B*.
   Word root = kNoWord;
-  bool broadcast_done = false;
   if (options.root.has_value()) {
     require(*options.root < size, "root out of range");
     require(s.active.test(*options.root),
             "requested root lies on a faulty necklace");
     root = nt.min_rot[*options.root];
-    // Forward reach into s.comp.
-    s.comp.assign(size, false);
-    s.comp.set(root);
-    s.frontier.clear();
-    s.frontier.push_back(root);
-    while (!s.frontier.empty()) {
-      s.frontier_next.clear();
-      for (Word u : s.frontier) {
-        const Word base = succ(u);
-        for (Digit a = 0; a < d; ++a) {
-          const Word w = base + a;
-          if (s.active.test(w) && !s.comp.test(w)) {
-            s.comp.set(w);
-            s.frontier_next.push_back(w);
-          }
-        }
-      }
-      s.frontier.swap(s.frontier_next);
-    }
-    // Backward reach, then intersect.
-    s.backward.assign(size, false);
-    s.backward.set(root);
-    s.frontier.clear();
-    s.frontier.push_back(root);
-    while (!s.frontier.empty()) {
-      s.frontier_next.clear();
-      for (Word u : s.frontier) {
-        const Word base = u / d;
-        for (Digit a = 0; a < d; ++a) {
-          const Word w = a * suffix_count + base;
-          if (s.active.test(w) && !s.backward.test(w)) {
-            s.backward.set(w);
-            s.frontier_next.push_back(w);
-          }
-        }
-      }
-      s.frontier.swap(s.frontier_next);
-    }
-    s.comp.and_with(s.backward);
   } else {
-    // Fast path: when the active graph is itself strongly connected — the
-    // overwhelmingly common case under few faults — B* is all of it and R
-    // is its smallest active node, so the Tarjan pass is skipped entirely.
-    // Established by the Step-1.1 broadcast from that node (reused below)
-    // plus one backward reachability sweep. Selection is bit-identical to
-    // the reference: the single SCC is trivially the largest, and its
-    // minimum node is the same root the reference's scan picks.
-    Word first_active = kNoWord;
     for (Word v = 0; v < size; ++v) {
       if (s.active.test(v)) {
-        first_active = v;
+        root = v;
         break;
       }
     }
-    require(first_active != kNoWord, "all nodes are faulty");
-    const std::uint64_t active_count = size - removed;
-    broadcast(first_active, s.active);
-    if (reached == active_count) {
-      // Backward sweep over the predecessor rule a.prefix(u).
-      s.backward.assign(size, false);
-      s.backward.set(first_active);
-      s.frontier.clear();
-      s.frontier.push_back(first_active);
-      std::uint64_t seen = 1;
-      while (!s.frontier.empty() && seen < active_count) {
-        s.frontier_next.clear();
-        for (Word u : s.frontier) {
-          const Word base = succ.pred_base(u);
-          for (Digit a = 0; a < d; ++a) {
-            const Word w = a * suffix_count + base;
-            if (s.active.test(w) && !s.backward.test(w)) {
-              s.backward.set(w);
-              ++seen;
-              s.frontier_next.push_back(w);
-            }
+    require(root != kNoWord, "all nodes are faulty");
+  }
+  broadcast(root, s.active);
+  if (!options.root.has_value() && reached < size - removed) {
+    root = largest_component_arena(s).first;
+    const Word root_comp = s.scc_comp[root];
+    s.comp.assign(size, false);
+    for (Word v = 0; v < size; ++v) {
+      if (s.active.test(v) && s.scc_comp[v] == root_comp) s.comp.set(v);
+    }
+    broadcast(root, s.comp);
+  } else {
+    // Backward sweep over the reached nodes, marking in s.comp those that
+    // reach R back. Each (n-1)-prefix w is expanded once, when the first
+    // w.b is marked; the sweep stops once every reached node is marked.
+    s.comp.assign(size, false);
+    s.prefix_done.assign(suffix_count, false);
+    s.comp.set(root);
+    s.frontier.assign(1, root);
+    std::uint64_t seen = 1;
+    while (!s.frontier.empty() && seen < reached) {
+      s.frontier_next.clear();
+      for (Word u : s.frontier) {
+        const Word w = succ.pred_base(u);
+        if (s.prefix_done.test(w)) continue;
+        s.prefix_done.set(w);
+        for (Digit a = 0; a < d; ++a) {
+          const Word v = a * suffix_count + w;
+          if (s.dist[v] != kUnreached && !s.comp.test(v)) {
+            s.comp.set(v);
+            s.frontier_next.push_back(v);
           }
         }
-        s.frontier.swap(s.frontier_next);
       }
-      if (seen == active_count) {
-        root = first_active;
-        s.comp = s.active;  // B* is every surviving node
-        broadcast_done = true;
-      }
+      seen += s.frontier_next.size();
+      s.frontier.swap(s.frontier_next);
     }
-    if (!broadcast_done) {
-      root = largest_component_arena(s).first;
-      const Word root_comp = s.scc_comp[root];
-      s.comp.assign(size, false);
-      for (Word v = 0; v < size; ++v) {
-        if (s.active.test(v) && s.scc_comp[v] == root_comp) s.comp.set(v);
-      }
-    }
+    ensure(seen == reached,
+           "every node the broadcast reaches reaches the root back "
+           "(antiparallel N* edges, Section 2.2)");
   }
   ensure(s.comp.test(root), "root must belong to its own component");
   result.root = root;
 
-  // --- Step 1.1: broadcast tree T' (BFS with min-predecessor tie-break);
-  // already computed when the fast path proved B* == active. ---
-  if (!broadcast_done) broadcast(root, s.comp);
   const std::uint64_t comp_size = s.comp.count();
   ensure(reached == comp_size,
          "broadcast must reach every node of the strongly connected B*");
@@ -560,12 +530,12 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
   ensure(root_rep == root, "root is canonical by construction");
 
   // --- Step 1.2: spanning tree T of N*: per component necklace, the leader
-  // is the member minimizing (broadcast round, id) over its CSR slice. Its
-  // broadcast parent is its smallest predecessor a.prefix(leader) reached
-  // one round earlier: exactly the sender the reference BFS keeps (the
-  // smaller id wins within a round), so no per-node parent array is kept. ---
+  // is the member minimizing (broadcast round, id) over its CSR slice, and
+  // its broadcast parent is block_first[prefix(leader)]. Each leader is
+  // kept for Step 3. ---
   result.necklace_count = 0;
   s.edge_tmp.clear();
+  s.leader_of.resize(nt.reps.size());
   for (Word rep : nt.reps) {
     if (!s.comp.test(rep)) continue;
     ++result.necklace_count;
@@ -581,19 +551,14 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
       }
     }
     ensure(leader != kNoWord, "every component necklace has a leader");
-    const Word pred_base = succ.pred_base(leader);
-    Word parent = kNoWord;
-    for (Digit a = 0; a < d; ++a) {
-      const Word u = a * suffix_count + pred_base;
-      if (s.dist[u] == best_dist - 1) {
-        parent = u;
-        break;
-      }
-    }
-    ensure(parent != kNoWord, "non-root leader must have a broadcast parent");
+    const Word label = succ.pred_base(leader);
+    const Word parent = s.block_first[label];
+    ensure(parent != kNoWord && s.dist[parent] + 1 == best_dist,
+           "non-root leader must have a broadcast parent");
     const Word parent_rep = nt.min_rot[parent];
     ensure(parent_rep != rep, "leader's parent lies in a different necklace");
-    s.edge_tmp.push_back({parent_rep, rep, ws.prefix(leader)});
+    s.leader_of[i] = leader;
+    s.edge_tmp.push_back({parent_rep, rep, label});
   }
   sort_necklace_edges(lm, nt.reps.size(), s, result.tree_edges);
 
@@ -633,33 +598,33 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
   }
   sort_necklace_edges(lm, nt.reps.size(), s, result.modified_edges);
 
-  // --- Step 3: successor rule. The only nodes that can carry label w are
-  // the d exit candidates a.w and the d entry candidates w.b, and those lie
-  // in pairwise-distinct necklaces (Section 2.2), so the exit node of [x]
-  // and the entry node of [y] are found by probing the candidates'
-  // necklace index; exactly one candidate of each kind must match. ---
+  // --- Step 3: successor rule. A D-edge [x] -w-> [y] of class T_w reroutes
+  // the node of [x] with suffix w to the node of [y] with prefix w. Both
+  // come from lookups, not probes. A necklace of T_w enters at its node with
+  // prefix w and exits at that node's right rotation: the class's parent
+  // necklace enters at rot_next[p], where p = block_first[w] is the
+  // broadcast parent of the class's leaders and has suffix w; a child
+  // enters at its leader. The context build checked that no necklace
+  // exposes a label twice (Section 2.2), so a node of the named necklace
+  // carrying the label is the endpoint; the ensure holds both to that. ---
   s.rerouted.assign(size, false);
   s.reroute_to.resize(size);
   for (const LabeledEdge& e : result.modified_edges) {
-    const std::uint32_t from = lm.necklace_index[e.from];
-    const std::uint32_t to = lm.necklace_index[e.to];
-    const Word entry_base = e.label * d;
-    Word exit_node = kNoWord, entry_node = kNoWord;
-    unsigned exits = 0, entries = 0;
-    for (Digit a = 0; a < d; ++a) {
-      const Word x = a * suffix_count + e.label;
-      if (lm.necklace_index[x] == from) {
-        exit_node = x;
-        ++exits;
-      }
-      if (lm.necklace_index[entry_base + a] == to) {
-        entry_node = entry_base + a;
-        ++entries;
-      }
-    }
-    ensure(exits == 1 && entries == 1,
-           "each endpoint of a D-edge exposes the label exactly once "
-           "(Section 2.2)");
+    const Word p = s.block_first[e.label];
+    const Word parent_rep = nt.min_rot[p];
+    const auto entry_of = [&](Word rep) {
+      return rep == parent_rep ? lm.rot_next[p]
+                               : s.leader_of[lm.necklace_index[rep]];
+    };
+    const Word label_base = e.label * d;  // w.b lies in [w.0, w.0 + d)
+    const Word from_entry = entry_of(e.from);
+    const Word entry_node = entry_of(e.to);
+    ensure(from_entry - label_base < d && entry_node - label_base < d,
+           "both endpoints of a D-edge expose the label (Section 2.2)");
+    // The right rotation of w.b is b.w.
+    const Word exit_node = (from_entry - label_base) * suffix_count + e.label;
+    ensure(nt.min_rot[exit_node] == e.from && nt.min_rot[entry_node] == e.to,
+           "each endpoint of a D-edge lies in its necklace");
     ensure(!s.rerouted.test(exit_node),
            "each node is rerouted by at most one D-edge");
     s.rerouted.set(exit_node);

@@ -62,21 +62,39 @@ const LabelMergeTable& InstanceContext::label_merge() const {
     require(nt.reps.size() <
                 std::numeric_limits<std::uint32_t>::max(),
             "necklace count exceeds the 32-bit index range");
+    const Word d = ws.radix();
+    const Word suffix_count = size / d;
     LabelMergeTable t;
     t.necklace_index.assign(size, 0);
     t.rot_next.assign(size, 0);
     t.members.reserve(size);
     t.member_begin.reserve(nt.reps.size() + 1);
     t.member_begin.push_back(0);
+    // Section 2.2: a.w and b.w (a != b) never share a necklace, i.e. the
+    // members of a necklace have pairwise-distinct (n-1)-suffixes. Every
+    // FFC solve reads a necklace's node with a given label off a lookup,
+    // so the property is checked here, once per context and for every
+    // label, with a set of suffixes cleared after each necklace.
+    BitVec suffix_seen;
+    suffix_seen.assign(suffix_count, false);
+    std::vector<Word> suffixes;
     for (std::uint32_t i = 0; i < nt.reps.size(); ++i) {
+      suffixes.clear();
       Word v = nt.reps[i];
       do {
+        const Word head = v / suffix_count;
+        const Word suffix = v - head * suffix_count;
+        ensure(!suffix_seen.test(suffix),
+               "a.w and b.w cannot share a necklace (Section 2.2)");
+        suffix_seen.set(suffix);
+        suffixes.push_back(suffix);
         t.necklace_index[v] = i;
         t.members.push_back(v);
-        const Word next = ws.rotate_left(v, 1);
+        const Word next = suffix * d + head;  // rotate_left(v, 1)
         t.rot_next[v] = next;
         v = next;
       } while (v != nt.reps[i]);
+      for (Word suffix : suffixes) suffix_seen.reset(suffix);
       t.member_begin.push_back(t.members.size());
     }
     label_merge_table_ = std::move(t);

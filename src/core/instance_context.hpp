@@ -30,9 +30,12 @@ struct NecklaceTable {
 /// members[member_begin[i], member_begin[i+1]) in rotation order from the
 /// representative), the necklace index of every word, and the rotation
 /// successor of every word. With these, Step 1.2 leader election walks a
-/// CSR slice, and the Step-3 D-edge reroute finds "the node of [x] with
-/// suffix w" by probing the d candidates a.w in necklace_index: they lie
-/// in pairwise-distinct necklaces (Section 2.2), so exactly one is in [x].
+/// CSR slice, and the Step-3 D-edge reroute reads "the node of [x] with
+/// prefix w" off the solve's lookups (a child necklace's leader, or the
+/// rotation successor of the class parent's broadcast sender) and takes its
+/// right rotation as the node with suffix w. That node is unique: the build
+/// checks that a.w and b.w never share a necklace (Section 2.2), i.e. that
+/// each necklace's members have pairwise-distinct (n-1)-suffixes.
 struct LabelMergeTable {
   std::vector<std::uint32_t> necklace_index;  ///< word -> index into NecklaceTable::reps
   std::vector<std::uint64_t> member_begin;    ///< CSR offsets; size reps + 1

@@ -28,13 +28,18 @@ struct SolveScratch {
   BitVec active;    ///< nonfaulty nodes
   BitVec comp;      ///< B*: the chosen strongly connected component
   BitVec visited;   ///< final ring walk bookkeeping
-  BitVec backward;  ///< reverse-reach mask (explicit-root solves)
   BitVec on_stack;  ///< Tarjan SCC stack membership
 
-  // -- BFS workspace --
+  // -- broadcast and backward sweep; both expand (n-1)-word blocks once --
   std::vector<std::uint32_t> dist;  ///< broadcast rounds (distances)
-  std::vector<Word> frontier;       ///< current BFS level
-  std::vector<Word> frontier_next;  ///< next BFS level
+  std::vector<Word> frontier;       ///< current sweep level
+  std::vector<Word> frontier_next;  ///< next sweep level
+  /// Per (n-1)-word w: the smallest node with suffix w in the first
+  /// broadcast round that reached one (kNoWord = block not expanded). It is
+  /// the broadcast parent of every leader with prefix w (Step 1.2), and the
+  /// exit node of T_w's parent necklace (Step 3).
+  std::vector<Word> block_first;
+  BitVec prefix_done;               ///< backward sweep: (n-1)-prefixes expanded
 
   // -- masked-Tarjan SCC workspace --
   /// One DFS frame: the node, its precomputed successor base
@@ -54,6 +59,7 @@ struct SolveScratch {
 
   // -- FFC Steps 1.2-3 --
   std::vector<Word> reps_tmp;       ///< faulty-rep staging (sort + dedup)
+  std::vector<Word> leader_of;      ///< Steps 1.2/3: leader per necklace index
   /// Steps 1.2/2: staged (from, to, label) necklace edges, bucketed by
   /// their from necklace into FfcResult's sorted order.
   std::vector<std::array<Word, 3>> edge_tmp;

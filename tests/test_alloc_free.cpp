@@ -93,7 +93,8 @@ std::vector<std::vector<Word>> two_fault_sets(Digit d, unsigned n) {
 
 TEST(AllocFree, SecondFfcSolveOnWarmScratchAllocatesOnlyItsResult) {
   constexpr std::uint64_t kBudget = 40;
-  const std::pair<Digit, unsigned> instances[] = {{2, 12}, {2, 16}, {3, 7}, {4, 8}};
+  const std::pair<Digit, unsigned> instances[] = {{2, 12}, {2, 16}, {3, 7},
+                                                  {4, 8},  {64, 2}, {16, 3}};
   for (const auto& [d, n] : instances) {
     const auto ctx = core::InstanceContext::make(d, n);
     core::SolveScratch scratch;

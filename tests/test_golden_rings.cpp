@@ -48,6 +48,7 @@ constexpr std::size_t kSweepPerStrategy = 40;
 constexpr std::uint64_t kColdRingSeed = 61;
 constexpr std::size_t kColdRingDraws = 8;
 constexpr std::uint64_t kLargeFfcSeed = 4099;
+constexpr std::uint64_t kWideBaseSeed = 8209;
 
 // One fault set of a cold_ring (family, instance) slot, drawn exactly as
 // perfbench's make_request draws it: 1-3 node faults for FFC; 1 edge fault
@@ -120,9 +121,10 @@ std::vector<GoldenCase> golden_cases() {
                                        slots[i].family)});
     }
   }
-  // 3. FFC on the two 65,536-node instances: 0-3 seeded node faults.
-  for (const auto& [base, n] : {std::pair<Digit, unsigned>{2, 16}, {4, 8}}) {
-    Rng rng(kLargeFfcSeed + base);
+  // FFC on one instance with 0-3 node faults drawn from Rng(seed).
+  const auto add_ffc_cases = [&out](std::uint64_t seed, Digit base,
+                                    unsigned n) {
+    Rng rng(seed);
     const WordSpace ws(base, n);
     for (std::uint64_t f = 0; f < 4; ++f) {
       EmbedRequest req;
@@ -135,6 +137,26 @@ std::vector<GoldenCase> golden_cases() {
                          std::to_string(n) + ", faults=" + std::to_string(f) +
                          ")",
                      req});
+    }
+  };
+  // 3. FFC on the two 65,536-node instances.
+  for (const auto& [base, n] : {std::pair<Digit, unsigned>{2, 16}, {4, 8}}) {
+    add_ffc_cases(kLargeFfcSeed + base, base, n);
+  }
+  // 4. FFC at n <= 2 and at large bases, then one node plus one edge fault
+  // (mixed) on two n = 2 shapes: the instances whose solve cost once grew
+  // with d.
+  for (const auto& [base, n] : {std::pair<Digit, unsigned>{5, 1}, {17, 1},
+                                {8, 2}, {17, 2}, {32, 2}, {57, 2}, {100, 2},
+                                {16, 3}, {31, 3}, {10, 4}, {13, 4}}) {
+    add_ffc_cases(kWideBaseSeed + 1000 * n + base, base, n);
+  }
+  for (const Digit base : {17u, 32u}) {
+    Rng rng(kWideBaseSeed + base);
+    for (std::size_t k = 0; k < 4; ++k) {
+      out.push_back({"(mixed base=" + std::to_string(base) +
+                         ", n=2, draw " + std::to_string(k) + ")",
+                     cold_ring_request(rng, base, 2, kMixed)});
     }
   }
   return out;

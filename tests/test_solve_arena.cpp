@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -16,6 +17,7 @@
 #include "service/cache.hpp"
 #include "service/context_cache.hpp"
 #include "service/types.hpp"
+#include "util/rng.hpp"
 #include "verify/scenario.hpp"
 
 // Differential fuzz of the allocation-free solve path, plus hammer tests of
@@ -145,6 +147,96 @@ TEST(SolveArena, FfcBitIdentityAcrossScenarioCorpus) {
   }
   // The node-strategy sweeps alone guarantee a large comparable share.
   EXPECT_GT(compared, sweep_size() / 2);
+}
+
+// The shapes the scenario corpus never draws (n <= 2, bases of 8 and up),
+// where a node-by-node solve's cost grew with d: the arena solve against
+// the reference on 25 fault sets per shape (DBR_FUZZ_SCENARIOS / 8, at
+// least 7) with 0 to d-1 faults, every seventh set rooted explicitly. One
+// dirty arena serves every shape, large and small alternating, so the
+// per-block and per-necklace arrays resize both ways. Four small-base
+// shapes, B(2,10), B(2,11), B(3,5) and B(4,4), add twice as many sets of 8
+// to 15 faults. Those split the active graph (the Tarjan fallback) and
+// bend the broadcast's frontiers out of ascending order, so block_first
+// must still keep each round's smallest sender. On B(2,n) they, plus two
+// sets that isolate a constant word, are also solved from both constant
+// words and four random nodes as explicit roots: a root may lie in any
+// piece, a one-node piece included.
+TEST(SolveArena, FfcBitIdentityAtWideBasesAndShortWords) {
+  struct Shape {
+    Digit d;
+    unsigned n;
+  };
+  constexpr Shape kShapes[] = {{100, 2}, {5, 1},  {31, 3}, {17, 1},
+                               {57, 2},  {3, 5},  {8, 2},  {13, 4},
+                               {2, 10},  {10, 4}, {17, 2}, {4, 4},
+                               {64, 2},  {2, 11}, {16, 3}, {32, 2}};
+  const std::uint64_t sets = std::max<std::uint64_t>(7, sweep_size() / 8);
+  ContextPool pool;
+  SolveScratch scratch;
+  std::size_t compared = 0, split = 0;
+  const auto compare = [&](const InstanceContext& ctx,
+                           const std::vector<Word>& faults,
+                           const core::FfcOptions& opts,
+                           const std::string& what) {
+    const FfcSolver solver(ctx);
+    const auto reference = try_solve([&] { return solver.solve(faults, opts); });
+    const auto arena =
+        try_solve([&] { return core::solve_ffc(ctx, faults, scratch, opts); });
+    ASSERT_EQ(reference.has_value(), arena.has_value())
+        << what << ": one path solved, the other threw";
+    if (!reference) return;
+    expect_identical(*reference, *arena, what);
+    ++compared;
+    if (!opts.root.has_value() &&
+        arena->bstar_size + arena->faulty_node_count < ctx.words().size()) {
+      ++split;
+    }
+  };
+  for (const Shape& shape : kShapes) {
+    const InstanceContext& ctx = pool.get(shape.d, shape.n);
+    const Word size = ctx.words().size();
+    Rng rng(base_seed() + 1000 * shape.n + shape.d);
+    std::vector<std::vector<Word>> fault_sets;
+    for (std::uint64_t k = 0; k < sets; ++k) {
+      const std::uint64_t f = std::min<std::uint64_t>(
+          k * (shape.d - 1) / (sets - 1), size - 1);
+      fault_sets.push_back(rng.sample_distinct(size, f));
+    }
+    if (shape.d == 2) {
+      // 0^(n-1)1 and 1^(n-1)0 each isolate a constant word
+      // (Proposition 2.3).
+      fault_sets.push_back({1});
+      fault_sets.push_back({size - 2});
+    }
+    if (shape.d <= 4) {
+      // 8 to 15 faults bend the broadcast: they split the active graph,
+      // and its frontiers leave ascending order, so a block can first be
+      // reached by a larger sender than the smallest of its round.
+      for (std::uint64_t k = 0; k < 2 * sets; ++k) {
+        fault_sets.push_back(rng.sample_distinct(size, 8 + rng.below(8)));
+      }
+    }
+    for (std::size_t k = 0; k < fault_sets.size(); ++k) {
+      const std::string what = "B(" + std::to_string(shape.d) + "," +
+                               std::to_string(shape.n) + ") fault set " +
+                               std::to_string(k);
+      core::FfcOptions opts;
+      if (k % 7 == 6) opts.root = rng.below(size);
+      compare(ctx, fault_sets[k], opts, what);
+      if (shape.d == 2 && k >= sets) {
+        for (const Word root :
+             {Word{0}, size - 1, rng.below(size), rng.below(size),
+              rng.below(size), rng.below(size)}) {
+          opts.root = root;
+          compare(ctx, fault_sets[k], opts,
+                  what + ", root " + std::to_string(*opts.root));
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, std::size(kShapes) * sets / 2);
+  EXPECT_GT(split, 0u) << "no fault set reached the Tarjan fallback";
 }
 
 // Mixed scenarios: the session path (reused dirty arena) must match a
