@@ -281,95 +281,12 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
 // earlier, the distinguished component maximizes (size, -min_node), and
 // Steps 1.2/2 pick minima over whole member slices — so the work can be
 // reorganized (sweeps that expand each (n-1)-word block once instead of
-// probing d neighbours per node, an SCC pass only when the active graph is
-// disconnected, lookups instead of Step-1.2 parent and Step-3 endpoint
+// probing d neighbours per node, B* read off the broadcast's reach instead
+// of an SCC pass, lookups instead of Step-1.2 parent and Step-3 endpoint
 // searches, flat bitsets and arrays instead of unordered_maps, CSR slices
 // instead of freshly built necklace lists) without changing a single output
 // byte. The fuzz suite (test_solve_arena) enforces the claim across the
 // scenario corpus and a set of wide-base and n <= 2 shapes.
-
-std::pair<Word, std::uint64_t> FfcSolver::largest_component_arena(
-    SolveScratch& s) const {
-  const WordSpace& ws = graph_.words();
-  const Word size = ws.size();
-  const Digit d = ws.radix();
-  const SuccBase succ(ws);
-
-  // Masked iterative Tarjan over the De Bruijn successor rule: the succs of
-  // v are suffix(v) * d + a, generated digit by digit, so no per-frame
-  // successor vector is ever materialized (the reference's dominant
-  // allocation cost).
-  s.scc_index.assign(size, kNoWord);
-  s.scc_low.resize(size);
-  s.scc_comp.resize(size);
-  s.on_stack.assign(size, false);
-  s.scc_stack.clear();
-  s.scc_frames.clear();
-  Word next_index = 0;
-  Word component_count = 0;
-  for (Word start = 0; start < size; ++start) {
-    if (!s.active.test(start) || s.scc_index[start] != kNoWord) continue;
-    s.scc_index[start] = s.scc_low[start] = next_index++;
-    s.scc_stack.push_back(start);
-    s.on_stack.set(start);
-    s.scc_frames.push_back({start, succ(start), 0});
-    while (!s.scc_frames.empty()) {
-      SolveScratch::SccFrame& f = s.scc_frames.back();
-      if (f.next_digit < d) {
-        const Word w = f.succ_base + f.next_digit++;
-        if (!s.active.test(w)) continue;
-        if (s.scc_index[w] == kNoWord) {
-          s.scc_index[w] = s.scc_low[w] = next_index++;
-          s.scc_stack.push_back(w);
-          s.on_stack.set(w);
-          s.scc_frames.push_back({w, succ(w), 0});
-        } else if (s.on_stack.test(w)) {
-          s.scc_low[f.node] = std::min(s.scc_low[f.node], s.scc_index[w]);
-        }
-      } else {
-        const Word v = f.node;
-        if (s.scc_low[v] == s.scc_index[v]) {
-          for (;;) {
-            const Word w = s.scc_stack.back();
-            s.scc_stack.pop_back();
-            s.on_stack.reset(w);
-            s.scc_comp[w] = component_count;
-            if (w == v) break;
-          }
-          ++component_count;
-        }
-        s.scc_frames.pop_back();
-        if (!s.scc_frames.empty()) {
-          Word& parent_low = s.scc_low[s.scc_frames.back().node];
-          parent_low = std::min(parent_low, s.scc_low[v]);
-        }
-      }
-    }
-  }
-
-  // Same selection rule as the reference: maximize size, ties toward the
-  // smaller minimum node (an ascending scan, so minima fill in order).
-  s.comp_size.assign(component_count, 0);
-  s.comp_min.assign(component_count, kNoWord);
-  for (Word v = 0; v < size; ++v) {
-    if (!s.active.test(v)) continue;
-    const Word c = s.scc_comp[v];
-    ++s.comp_size[c];
-    if (s.comp_min[c] == kNoWord) s.comp_min[c] = v;
-  }
-  Word best_root = kNoWord;
-  std::uint64_t best_size = 0;
-  for (Word c = 0; c < component_count; ++c) {
-    if (s.comp_min[c] == kNoWord) continue;
-    if (s.comp_size[c] > best_size ||
-        (s.comp_size[c] == best_size && s.comp_min[c] < best_root)) {
-      best_size = s.comp_size[c];
-      best_root = s.comp_min[c];
-    }
-  }
-  require(best_root != kNoWord, "all nodes are faulty");
-  return {best_root, best_size};
-}
 
 FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
                            SolveScratch& s, const FfcOptions& options) const {
@@ -411,20 +328,20 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
   // --- Choose the distinguished node R and its component B*. ---
   // In B(d,n) the d words a.w share one out-neighbourhood {w.b} and the d
   // words w.b share one in-neighbourhood {a.w}: the label-w structure of
-  // Section 2.2. Both sweeps below expand each (n-1)-word block once, so a
-  // solve costs O(1) per node whatever the base d.
+  // Section 2.2. The broadcast and the component flood below expand each
+  // (n-1)-word block once, so a solve costs O(1) per node whatever d is.
 
-  // Step 1.1's broadcast over an explicit node mask. A round walks its
-  // frontier; the first node with suffix w to appear expands block w,
-  // giving every active, unreached w.b the next round, and block_first[w]
-  // keeps the smallest node with suffix w in that round. Rounds equal a
-  // node-by-node BFS's (a loop carries nothing: a^n is reached before its
-  // own block expands). block_first[w] is the smallest predecessor of each
-  // w.b one round earlier, the sender the reference BFS keeps, so Step 1.2
-  // reads a leader's parent off it.
+  // Step 1.1's broadcast over the active nodes. A round walks its frontier;
+  // the first node with suffix w to appear expands block w, giving every
+  // active, unreached w.b the next round, and block_first[w] keeps the
+  // smallest node with suffix w in that round. Rounds equal a node-by-node
+  // BFS's (a loop carries nothing: a^n is reached before its own block
+  // expands). block_first[w] is the smallest predecessor of each w.b one
+  // round earlier, the sender the reference BFS keeps, so Step 1.2 reads a
+  // leader's parent off it.
   std::uint32_t eccentricity = 0;
   std::uint64_t reached = 0;
-  const auto broadcast = [&](Word r, const BitVec& mask) {
+  const auto broadcast = [&](Word r) {
     s.dist.assign(size, kUnreached);
     s.block_first.assign(suffix_count, kNoWord);
     s.dist[r] = 0;
@@ -443,7 +360,7 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
         first = u;
         const Word base = w * d;
         for (Digit b = 0; b < d; ++b) {
-          if (mask.test(base + b) && s.dist[base + b] == kUnreached) {
+          if (s.active.test(base + b) && s.dist[base + b] == kUnreached) {
             s.dist[base + b] = round + 1;
             s.frontier_next.push_back(base + b);
           }
@@ -460,10 +377,9 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
   // Faults remove whole necklaces and N*'s edges come in antiparallel pairs
   // (Section 2.2: a.w -> w.b, and b.w -> w.a joins the same two necklaces
   // back), so every node R reaches reaches R back: B* is the broadcast's
-  // reach from R. Without a root, that reach is every active node in the
-  // overwhelmingly common case under few faults; then R is the smallest
-  // active node, as the reference's scan picks, and the Tarjan pass is
-  // skipped. Otherwise the active graph is disconnected and Tarjan picks B*.
+  // reach from R, the nodes with dist != kUnreached. Without a root, the
+  // broadcast starts at the smallest active node; when it reaches every
+  // active node, as it nearly always does, that node is R.
   Word root = kNoWord;
   if (options.root.has_value()) {
     require(*options.root < size, "root out of range");
@@ -479,52 +395,48 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
     }
     require(root != kNoWord, "all nodes are faulty");
   }
-  broadcast(root, s.active);
+  broadcast(root);
   if (!options.root.has_value() && reached < size - removed) {
-    root = largest_component_arena(s).first;
-    const Word root_comp = s.scc_comp[root];
-    s.comp.assign(size, false);
-    for (Word v = 0; v < size; ++v) {
-      if (s.active.test(v) && s.scc_comp[v] == root_comp) s.comp.set(v);
-    }
-    broadcast(root, s.comp);
-  } else {
-    // Backward sweep over the reached nodes, marking in s.comp those that
-    // reach R back. Each (n-1)-prefix w is expanded once, when the first
-    // w.b is marked; the sweep stops once every reached node is marked.
-    s.comp.assign(size, false);
+    // The active graph is disconnected. Flood each other component from its
+    // smallest node, in ascending order, claiming nodes in s.visited and
+    // expanded blocks in s.prefix_done. Components never share a block:
+    // every active u reaches its rotation in block suffix(u), and two
+    // components reaching one block would be one. The largest component
+    // wins; a tie keeps the smaller start, as the reference does.
+    Word best = root;
+    std::uint64_t best_size = reached;
+    s.visited.assign(size, false);
     s.prefix_done.assign(suffix_count, false);
-    s.comp.set(root);
-    s.frontier.assign(1, root);
-    std::uint64_t seen = 1;
-    while (!s.frontier.empty() && seen < reached) {
-      s.frontier_next.clear();
-      for (Word u : s.frontier) {
-        const Word w = succ.pred_base(u);
+    for (Word start = root + 1; start < size; ++start) {
+      if (!s.active.test(start) || s.dist[start] != kUnreached ||
+          s.visited.test(start)) {
+        continue;
+      }
+      s.visited.set(start);
+      s.frontier.assign(1, start);
+      std::uint64_t flooded = 1;
+      while (!s.frontier.empty()) {
+        const Word w = succ.suffix(s.frontier.back());
+        s.frontier.pop_back();
         if (s.prefix_done.test(w)) continue;
         s.prefix_done.set(w);
-        for (Digit a = 0; a < d; ++a) {
-          const Word v = a * suffix_count + w;
-          if (s.dist[v] != kUnreached && !s.comp.test(v)) {
-            s.comp.set(v);
-            s.frontier_next.push_back(v);
+        for (Word v = w * d; v < (w + 1) * d; ++v) {
+          if (s.active.test(v) && !s.visited.test(v)) {
+            s.visited.set(v);
+            s.frontier.push_back(v);
+            ++flooded;
           }
         }
       }
-      seen += s.frontier_next.size();
-      s.frontier.swap(s.frontier_next);
+      if (flooded > best_size) {
+        best = start;
+        best_size = flooded;
+      }
     }
-    ensure(seen == reached,
-           "every node the broadcast reaches reaches the root back "
-           "(antiparallel N* edges, Section 2.2)");
+    if (best != root) broadcast(root = best);
   }
-  ensure(s.comp.test(root), "root must belong to its own component");
   result.root = root;
-
-  const std::uint64_t comp_size = s.comp.count();
-  ensure(reached == comp_size,
-         "broadcast must reach every node of the strongly connected B*");
-  result.bstar_size = comp_size;
+  result.bstar_size = reached;
   result.root_eccentricity = eccentricity;
   const Word root_rep = nt.min_rot[root];
   ensure(root_rep == root, "root is canonical by construction");
@@ -537,7 +449,7 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
   s.edge_tmp.clear();
   s.leader_of.resize(nt.reps.size());
   for (Word rep : nt.reps) {
-    if (!s.comp.test(rep)) continue;
+    if (s.dist[rep] == kUnreached) continue;
     ++result.necklace_count;
     if (rep == root_rep) continue;
     const std::uint32_t i = lm.necklace_index[rep];
@@ -632,11 +544,11 @@ FfcResult FfcSolver::solve(std::span<const Word> faulty_nodes,
   }
 
   // --- Walk H from the root (table-driven rotation successors). ---
-  result.cycle.nodes.reserve(comp_size);
+  result.cycle.nodes.reserve(reached);
   s.visited.assign(size, false);
   Word cur = root;
-  for (std::uint64_t step = 0; step < comp_size; ++step) {
-    ensure(s.comp.test(cur) && !s.visited.test(cur),
+  for (std::uint64_t step = 0; step < reached; ++step) {
+    ensure(s.dist[cur] != kUnreached && !s.visited.test(cur),
            "H must stay in B* and not revisit");
     s.visited.set(cur);
     result.cycle.nodes.push_back(cur);

@@ -137,9 +137,6 @@ class FfcSolver {
                                  : graph_.words().min_rotation(x);
   }
 
-  /// Arena solve internals (definitions in ffc.cpp).
-  std::pair<Word, std::uint64_t> largest_component_arena(SolveScratch& s) const;
-
   DeBruijnDigraph graph_;
   const NecklaceTable* necklaces_ = nullptr;  // borrowed; may be null
   const InstanceContext* ctx_ = nullptr;      // borrowed; may be null

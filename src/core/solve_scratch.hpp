@@ -26,36 +26,20 @@ namespace dbr::core {
 struct SolveScratch {
   // -- bit-packed node masks (FfcSolver arena solve) --
   BitVec active;    ///< nonfaulty nodes
-  BitVec comp;      ///< B*: the chosen strongly connected component
-  BitVec visited;   ///< final ring walk bookkeeping
-  BitVec on_stack;  ///< Tarjan SCC stack membership
+  BitVec visited;   ///< nodes claimed by the component flood, then the walk
 
-  // -- broadcast and backward sweep; both expand (n-1)-word blocks once --
-  std::vector<std::uint32_t> dist;  ///< broadcast rounds (distances)
-  std::vector<Word> frontier;       ///< current sweep level
-  std::vector<Word> frontier_next;  ///< next sweep level
+  // -- broadcast and component flood; both expand (n-1)-word blocks once --
+  /// Broadcast rounds (distances); B* is the set of nodes the broadcast
+  /// reaches (dist != kUnreached).
+  std::vector<std::uint32_t> dist;
+  std::vector<Word> frontier;       ///< broadcast level; the flood's stack
+  std::vector<Word> frontier_next;  ///< next broadcast level
   /// Per (n-1)-word w: the smallest node with suffix w in the first
   /// broadcast round that reached one (kNoWord = block not expanded). It is
   /// the broadcast parent of every leader with prefix w (Step 1.2), and the
   /// exit node of T_w's parent necklace (Step 3).
   std::vector<Word> block_first;
-  BitVec prefix_done;               ///< backward sweep: (n-1)-prefixes expanded
-
-  // -- masked-Tarjan SCC workspace --
-  /// One DFS frame: the node, its precomputed successor base
-  /// suffix(node) * d, and the next digit to expand.
-  struct SccFrame {
-    Word node;
-    Word succ_base;
-    Digit next_digit;
-  };
-  std::vector<Word> scc_index;          ///< Tarjan discovery index (kNoWord = unvisited)
-  std::vector<Word> scc_low;            ///< Tarjan low-link
-  std::vector<Word> scc_comp;           ///< component id per node
-  std::vector<Word> scc_stack;          ///< Tarjan node stack
-  std::vector<SccFrame> scc_frames;     ///< iterative DFS frames
-  std::vector<std::uint64_t> comp_size; ///< per-component node count
-  std::vector<Word> comp_min;           ///< per-component minimum node
+  BitVec prefix_done;               ///< component flood: blocks expanded
 
   // -- FFC Steps 1.2-3 --
   std::vector<Word> reps_tmp;       ///< faulty-rep staging (sort + dedup)

@@ -110,6 +110,28 @@ TEST(AllocFree, SecondFfcSolveOnWarmScratchAllocatesOnlyItsResult) {
   }
 }
 
+// Twelve faults split B(2,12). Both sets leave the active graph
+// disconnected; the first keeps root 0, while the second's largest
+// component misses node 0, so its solve floods the components and
+// broadcasts again from the winner.
+TEST(AllocFree, DisconnectedFfcSolveOnWarmScratchAllocatesOnlyItsResult) {
+  constexpr std::uint64_t kBudget = 40;
+  const auto ctx = core::InstanceContext::make(2, 12);
+  core::SolveScratch scratch;
+  const Word size = ctx->words().size();
+  const core::FfcResult warm =
+      core::solve_ffc(*ctx, Rng(9).sample_distinct(size, 12), scratch);
+  ASSERT_EQ(warm.root, 0u);
+  ASSERT_LT(warm.bstar_size + warm.faulty_node_count, size);
+  const std::vector<Word> faults = Rng(10).sample_distinct(size, 12);
+  core::FfcResult cold;
+  const std::uint64_t n_alloc = allocations_during(
+      [&] { cold = core::solve_ffc(*ctx, faults, scratch); });
+  ASSERT_NE(cold.root, 0u);
+  ASSERT_LT(cold.bstar_size + cold.faulty_node_count, size);
+  EXPECT_LE(n_alloc, kBudget);
+}
+
 TEST(AllocFree, WarmEdgeAutoSolveAllocatesOnlyItsResult) {
   constexpr std::uint64_t kBudget = 20;
   const auto ctx = core::InstanceContext::make(3, 7);

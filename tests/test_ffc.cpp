@@ -355,6 +355,29 @@ TEST(Roots, DefaultPicksLargestComponent) {
   EXPECT_NE(result.root, 0u);  // 0^n is isolated, not in the largest component
 }
 
+// Without a root, B* is the largest component, and a tie goes to the
+// component whose smallest node is smaller. B(2,5) - {1, 3, 5, 15} leaves
+// components of 1, 1, 5 and 5 nodes with smallest nodes 0, 31, 7 and 11;
+// B(2,4) - {3, 5} leaves two 5-node components with smallest nodes 0 and 7.
+TEST(Roots, LargestComponentWinsAndTiesGoToTheSmallerNode) {
+  struct Case {
+    Digit d;
+    unsigned n;
+    std::vector<Word> faults;
+    Word root;
+  };
+  const Case cases[] = {{2, 5, {1, 3, 5, 15}, 7}, {2, 4, {3, 5}, 0}};
+  for (const Case& c : cases) {
+    const auto ctx = InstanceContext::make(c.d, c.n);
+    const FfcResult arena = solve_ffc(*ctx, c.faults);
+    EXPECT_EQ(arena.root, c.root) << "B(2," << c.n << ")";
+    EXPECT_EQ(arena.bstar_size, 5u) << "B(2," << c.n << ")";
+    const FfcResult legacy = FfcSolver(DeBruijnDigraph(c.d, c.n)).solve(c.faults);
+    EXPECT_EQ(legacy.root, c.root) << "B(2," << c.n << ")";
+    EXPECT_EQ(legacy.bstar_size, 5u) << "B(2," << c.n << ")";
+  }
+}
+
 TEST(Roots, FaultyRootRejected) {
   const FfcSolver solver(DeBruijnDigraph(3, 3));
   FfcOptions opts;

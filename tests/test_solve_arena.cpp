@@ -156,12 +156,13 @@ TEST(SolveArena, FfcBitIdentityAcrossScenarioCorpus) {
 // dirty arena serves every shape, large and small alternating, so the
 // per-block and per-necklace arrays resize both ways. Four small-base
 // shapes, B(2,10), B(2,11), B(3,5) and B(4,4), add twice as many sets of 8
-// to 15 faults. Those split the active graph (the Tarjan fallback) and
-// bend the broadcast's frontiers out of ascending order, so block_first
-// must still keep each round's smallest sender. On B(2,n) they, plus two
-// sets that isolate a constant word, are also solved from both constant
-// words and four random nodes as explicit roots: a root may lie in any
-// piece, a one-node piece included.
+// to 15 faults. Those split the active graph (the component flood), some so
+// that the largest piece misses the smallest active node and the root
+// moves, and they bend the broadcast's frontiers out of ascending order, so
+// block_first must still keep each round's smallest sender. On B(2,n) they,
+// plus two sets that isolate a constant word, are also solved from both
+// constant words and four random nodes as explicit roots: a root may lie in
+// any piece, a one-node piece included.
 TEST(SolveArena, FfcBitIdentityAtWideBasesAndShortWords) {
   struct Shape {
     Digit d;
@@ -174,7 +175,7 @@ TEST(SolveArena, FfcBitIdentityAtWideBasesAndShortWords) {
   const std::uint64_t sets = std::max<std::uint64_t>(7, sweep_size() / 8);
   ContextPool pool;
   SolveScratch scratch;
-  std::size_t compared = 0, split = 0;
+  std::size_t compared = 0, split = 0, moved = 0;
   const auto compare = [&](const InstanceContext& ctx,
                            const std::vector<Word>& faults,
                            const core::FfcOptions& opts,
@@ -191,6 +192,10 @@ TEST(SolveArena, FfcBitIdentityAtWideBasesAndShortWords) {
     if (!opts.root.has_value() &&
         arena->bstar_size + arena->faulty_node_count < ctx.words().size()) {
       ++split;
+      const std::vector<bool> active = solver.active_mask(faults);
+      Word smallest = 0;
+      while (!active[smallest]) ++smallest;
+      if (arena->root != smallest) ++moved;
     }
   };
   for (const Shape& shape : kShapes) {
@@ -236,7 +241,9 @@ TEST(SolveArena, FfcBitIdentityAtWideBasesAndShortWords) {
     }
   }
   EXPECT_GT(compared, std::size(kShapes) * sets / 2);
-  EXPECT_GT(split, 0u) << "no fault set reached the Tarjan fallback";
+  EXPECT_GT(split, 0u) << "no fault set reached the component flood";
+  EXPECT_GT(moved, 0u)
+      << "no split fault set moved the root off the smallest active node";
 }
 
 // Mixed scenarios: the session path (reused dirty arena) must match a
