@@ -174,8 +174,7 @@ inline void print_usage(std::ostream& os, const char* name,
   os << "\nenvironment:\n"
         "  DBR_TRIALS   Monte-Carlo trials per table row (default 1000)\n"
         "  DBR_SEED     RNG seed (default 42)\n"
-        "  DBR_FORMAT   'csv' emits CSV tables instead of aligned text\n"
-        "  DBR_THREADS  worker threads for util/parallel (default: hardware)\n";
+        "  DBR_FORMAT   'csv' emits CSV tables instead of aligned text\n";
 }
 
 /// --help/unknown-argument handling for benches with their own flag loops:

@@ -4,12 +4,11 @@
 // distinct (so the result cache never serves a repeat and every query pays
 // the solve path):
 //
-//  1. Context reuse vs cold per-query precompute: the same stream through an
-//     engine that shares the per-instance InstanceContext (reuse_contexts =
-//     true, the default) and through one that rebuilds it on every query
-//     (reuse_contexts = false, the pre-refactor behavior). Responses must be
-//     bit-identical; the speedup is the hot-path win of the context/solve
-//     split.
+//  1. Context reuse vs cold per-query precompute: the same stream through
+//     one engine, whose ContextCache shares the per-instance
+//     InstanceContext, and through a fresh engine per query, whose empty
+//     ContextCache builds it every time. Responses must be bit-identical;
+//     the speedup is the hot-path win of the context/solve split.
 //
 //  2. Session incremental updates: a seeded add/remove fault-churn timeline
 //     served by a stateful EmbedSession (pinned context + result cache)
@@ -142,19 +141,25 @@ std::vector<EmbedRequest> distinct_fault_stream(const Family& family, Rng& rng,
 struct ModeRun {
   double wall_micros = 0.0;
   std::vector<EmbedResponse> responses;
-  dbr::service::ServeStats serve;
+  std::uint64_t context_hits = 0;    ///< computed answers on a reused context
+  std::uint64_t context_misses = 0;  ///< computed answers that built one
 };
 
-ModeRun run_stream(const std::vector<EmbedRequest>& stream, bool reuse_contexts) {
-  EngineOptions options;
-  options.reuse_contexts = reuse_contexts;
-  EmbedEngine engine(options);
+/// Serves `stream` in order: warm on one engine, cold on a fresh engine per
+/// query (making and dropping an engine costs under a microsecond, so the
+/// cold side pays little beyond its context build).
+ModeRun run_stream(const std::vector<EmbedRequest>& stream, bool warm) {
+  EmbedEngine engine;
   ModeRun out;
   out.responses.reserve(stream.size());
   const Clock::time_point start = Clock::now();
-  for (const EmbedRequest& req : stream) out.responses.push_back(engine.query(req));
+  for (const EmbedRequest& req : stream) {
+    out.responses.push_back(warm ? engine.query(req) : EmbedEngine().query(req));
+  }
   out.wall_micros = micros_since(start);
-  out.serve = engine.serve_stats();
+  for (const EmbedResponse& r : out.responses) {
+    if (!r.cache_hit) ++(r.context_cache_hit ? out.context_hits : out.context_misses);
+  }
   return out;
 }
 
@@ -219,8 +224,8 @@ int main(int argc, char** argv) {
   for (const Family& family : kFamilies) {
     const std::vector<EmbedRequest> stream =
         distinct_fault_stream(family, rng, queries);
-    const ModeRun cold = run_stream(stream, /*reuse_contexts=*/false);
-    const ModeRun warm = run_stream(stream, /*reuse_contexts=*/true);
+    const ModeRun cold = run_stream(stream, /*warm=*/false);
+    const ModeRun warm = run_stream(stream, /*warm=*/true);
     const bool same = all_identical(cold.responses, warm.responses);
     identical = identical && same;
     cold_total += cold.wall_micros;
@@ -233,7 +238,7 @@ int main(int argc, char** argv) {
         .add(cold.wall_micros / static_cast<double>(stream.size()), 1)
         .add(warm.wall_micros / static_cast<double>(stream.size()), 1)
         .add(speedup, 2)
-        .add(warm.serve.context_hits);
+        .add(warm.context_hits);
     json.begin_object()
         .field("family", family.name)
         .field("base", static_cast<std::uint64_t>(family.base))
@@ -243,9 +248,9 @@ int main(int argc, char** argv) {
         .field("cold_wall_micros", cold.wall_micros)
         .field("warm_wall_micros", warm.wall_micros)
         .field("speedup", speedup)
-        .field("warm_context_hits", warm.serve.context_hits)
-        .field("warm_context_misses", warm.serve.context_misses)
-        .field("cold_context_hits", cold.serve.context_hits)
+        .field("warm_context_hits", warm.context_hits)
+        .field("warm_context_misses", warm.context_misses)
+        .field("cold_context_hits", cold.context_hits)
         .field("identical_responses", same)
         .end_object();
   }
@@ -336,10 +341,6 @@ int main(int argc, char** argv) {
   EmbedEngine warm_engine;  // defaults: result cache + context reuse
   EmbedSession session(warm_engine, session_family.base, session_family.n,
                        session_family.kind, session_family.strategy);
-  EngineOptions cold_options;
-  cold_options.reuse_contexts = false;
-  cold_options.enable_cache = false;
-  EmbedEngine cold_engine(cold_options);
 
   LatencyRecorder session_lat, stateless_lat;
   std::vector<Word> live;
@@ -371,7 +372,8 @@ int main(int argc, char** argv) {
     req.strategy = session_family.strategy;
     req.faults = live;
     start = Clock::now();
-    const EmbedResponse stateless = cold_engine.query(req);
+    // A fresh engine per event: no cached result, no cached context.
+    const EmbedResponse stateless = EmbedEngine().query(req);
     const double stateless_micros = micros_since(start);
     stateless_wall += stateless_micros;
     stateless_lat.record(stateless_micros);

@@ -9,12 +9,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/distributed_ffc.hpp"
 #include "core/ffc.hpp"
 #include "graph/algorithms.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -40,36 +40,28 @@ inline SweepRow fault_sweep_row(const core::FfcSolver& solver, unsigned f,
   row.faults = f;
   row.dn_minus_nf =
       static_cast<std::int64_t>(ws.size()) - static_cast<std::int64_t>(ws.length()) * f;
-  std::vector<std::uint64_t> sizes(num_trials);
-  std::vector<std::uint32_t> eccs(num_trials);
-  // One RNG stream per trial: the table is reproducible for a given seed
-  // regardless of DBR_THREADS.
-  parallel_blocks(num_trials, [&](std::size_t, std::size_t begin, std::size_t end) {
-    for (std::size_t t = begin; t < end; ++t) {
-      Rng rng = Rng(seed + f).split(t);
-      const auto faults = rng.sample_distinct(ws.size(), f);
-      // R = 0...01, or the nearest nonfaulty node when its necklace died.
-      const Word root = root_picker.default_root(faults);
-      const auto active = solver.active_mask(faults);
-      const auto comp = solver.component_of(active, root);
-      std::uint64_t size = 0;
-      for (Word v = 0; v < ws.size(); ++v) size += comp[v] ? 1 : 0;
-      const SubgraphView<DeBruijnDigraph> view(graph, comp);
-      const auto r = bfs(view, root, [&](NodeId v) { return comp[v]; });
-      sizes[t] = size;
-      eccs[t] = r.eccentricity();
-    }
-  });
   double sum_size = 0, sum_ecc = 0;
-  row.min_size = sizes[0];
-  row.min_ecc = eccs[0];
+  row.min_size = std::numeric_limits<std::uint64_t>::max();
+  row.min_ecc = std::numeric_limits<std::uint32_t>::max();
+  // One RNG stream per trial: a trial's draw depends only on (seed, f, t).
   for (std::size_t t = 0; t < num_trials; ++t) {
-    sum_size += static_cast<double>(sizes[t]);
-    sum_ecc += eccs[t];
-    row.max_size = std::max(row.max_size, sizes[t]);
-    row.min_size = std::min(row.min_size, sizes[t]);
-    row.max_ecc = std::max(row.max_ecc, eccs[t]);
-    row.min_ecc = std::min(row.min_ecc, eccs[t]);
+    Rng rng = Rng(seed + f).split(t);
+    const auto faults = rng.sample_distinct(ws.size(), f);
+    // R = 0...01, or the nearest nonfaulty node when its necklace died.
+    const Word root = root_picker.default_root(faults);
+    const auto active = solver.active_mask(faults);
+    const auto comp = solver.component_of(active, root);
+    std::uint64_t size = 0;
+    for (Word v = 0; v < ws.size(); ++v) size += comp[v] ? 1 : 0;
+    const SubgraphView<DeBruijnDigraph> view(graph, comp);
+    const std::uint32_t ecc =
+        bfs(view, root, [&](NodeId v) { return comp[v]; }).eccentricity();
+    sum_size += static_cast<double>(size);
+    sum_ecc += ecc;
+    row.max_size = std::max(row.max_size, size);
+    row.min_size = std::min(row.min_size, size);
+    row.max_ecc = std::max(row.max_ecc, ecc);
+    row.min_ecc = std::min(row.min_ecc, ecc);
   }
   row.avg_size = sum_size / static_cast<double>(num_trials);
   row.avg_ecc = sum_ecc / static_cast<double>(num_trials);

@@ -7,7 +7,8 @@
 //   ./embed_server --port 4800
 //
 // Flags: --port N           TCP port (default 4800; 0 = ephemeral, printed)
-//        --workers N        worker threads (default DBR_THREADS)
+//        --workers N        worker threads (default DBR_THREADS, else the
+//                           hardware thread count)
 //        --max-pending N    admission bound before kOverloaded (default 1024)
 //        --timeout-ms F     per-request deadline (default off)
 //        --solve-delay-ms F debug delay of solves run on a worker (loop-served

@@ -70,9 +70,8 @@ struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// TCP port; 0 binds an ephemeral port, readable via Server::port().
   std::uint16_t port = 0;
-  /// Worker threads executing ops; 0 means dbr::worker_count(), matching
-  /// the in-process query_batch pool so server-vs-engine saturation is an
-  /// apples-to-apples comparison.
+  /// Worker threads executing ops; 0 means dbr::worker_count() (hardware
+  /// concurrency, or DBR_THREADS when set).
   std::size_t workers = 0;
   /// Admission bound: solve ops admitted (queued or executing) beyond this
   /// are rejected with WireStatus::kOverloaded. Fault/stats ops bypass the

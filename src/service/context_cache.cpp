@@ -14,6 +14,21 @@ ContextCache::ContextCache(std::size_t capacity) : capacity_(capacity) {
 
 std::shared_ptr<const core::InstanceContext> ContextCache::get_or_build(
     Digit base, unsigned n, bool* hit) {
+  // d^n saturates just past the limit: each step at least doubles, so the
+  // loop stops within 21 multiplications (2^21 > kMaxNodes) and never
+  // overflows (nodes <= 2^20 and base < 2^32 before each step). Radix d < 2
+  // is left to WordSpace's own rejection.
+  if (base >= 2) {
+    std::uint64_t nodes = 1;
+    unsigned digits = 0;
+    while (digits < n && nodes <= kMaxNodes) {
+      nodes *= base;
+      ++digits;
+    }
+    require_parts(nodes <= kMaxNodes, "instance B(", base, ",", n, ") has ",
+                  digits < n ? "over " : "", nodes,
+                  " nodes, above the limit of ", kMaxNodes, " nodes");
+  }
   const std::uint64_t key = key_of(base, n);
   // Engaged only on a miss: a promise allocates its shared state, which a
   // hit has no use for.

@@ -48,13 +48,19 @@ struct ContextCacheStats {
 class ContextCache {
  public:
   static constexpr std::size_t kDefaultCapacity = 64;
+  /// Largest instance, in nodes d^n, the cache builds, so no request can
+  /// make it try an arbitrarily large B(d,n). A session solve on B(2,20),
+  /// at the limit, took about 0.5 s and 150 MB; and below 2^32 nodes, node
+  /// ids fit 32-bit tables.
+  static constexpr std::uint64_t kMaxNodes = std::uint64_t{1} << 20;
 
   explicit ContextCache(std::size_t capacity = kDefaultCapacity);
 
   /// Returns the shared context for (base, n), building it if absent. When
   /// `hit` is non-null it is set to true iff an existing (possibly still
   /// in-flight) context was reused. Throws precondition_error for instances
-  /// WordSpace rejects.
+  /// WordSpace rejects and, before taking the lock, for instances over
+  /// kMaxNodes: such a lookup counts no miss and evicts nothing.
   std::shared_ptr<const core::InstanceContext> get_or_build(Digit base,
                                                             unsigned n,
                                                             bool* hit = nullptr);

@@ -16,7 +16,6 @@
 #include "core/mixed_fault.hpp"
 #include "debruijn/cycle.hpp"
 #include "debruijn/debruijn.hpp"
-#include "util/parallel.hpp"
 #include "util/require.hpp"
 #include "verify/oracle.hpp"
 
@@ -200,12 +199,7 @@ std::shared_ptr<const EmbedResult> EmbedEngine::compute(
       if (context_hit != nullptr) *context_hit = true;  // reused by definition
       return *pinned;
     }
-    if (options_.reuse_contexts) {
-      owned = contexts_->get_or_build(key.base, key.n, context_hit);
-    } else {
-      if (context_hit != nullptr) *context_hit = false;
-      owned = core::InstanceContext::make(key.base, key.n);
-    }
+    owned = contexts_->get_or_build(key.base, key.n, context_hit);
     return *owned;
   };
   auto result = std::make_shared<const EmbedResult>(compute_result(key, acquire));
@@ -231,7 +225,7 @@ std::shared_ptr<const EmbedResult> EmbedEngine::compute(
   quarantined.strategy_used = result->strategy_used;
   quarantined.compute_micros = result->compute_micros;
   quarantined.error = "oracle: " + report.to_string();
-  quarantined.quarantined = true;  // batch stats count, never time, these
+  quarantined.quarantined = true;
   return std::make_shared<const EmbedResult>(std::move(quarantined));
 }
 
@@ -298,11 +292,6 @@ ServeStats EmbedEngine::serve_stats() const {
   return s;
 }
 
-std::shared_ptr<const EmbedResult> EmbedEngine::compute_uncached(
-    const EmbedRequest& request) const {
-  return compute(canonical_key(request), nullptr);
-}
-
 std::optional<EmbedResponse> EmbedEngine::probe(const CacheKey& key) {
   const Clock::time_point start = Clock::now();
   // The query is counted before its hit (stats_snapshot reads them in the
@@ -352,41 +341,6 @@ EmbedResponse EmbedEngine::query_with_context(
           "pinned context does not match the request instance");
   if (std::optional<EmbedResponse> hit = probe(key)) return std::move(*hit);
   return compute_and_fill(key, context.get());
-}
-
-std::vector<EmbedResponse> EmbedEngine::query_batch(
-    std::span<const EmbedRequest> requests, BatchStats* stats) {
-  std::vector<EmbedResponse> responses(requests.size());
-  const std::size_t worker_slots = std::max<std::size_t>(
-      1, std::min<std::size_t>(worker_count(), requests.size()));
-  std::vector<WorkerStats> workers(worker_slots);
-
-  const Clock::time_point start = Clock::now();
-  parallel_blocks(requests.size(), [&](std::size_t worker, std::size_t begin,
-                                       std::size_t end) {
-    WorkerStats& w = workers[worker];
-    w.worker = worker;
-    const Clock::time_point busy_start = Clock::now();
-    for (std::size_t i = begin; i < end; ++i) {
-      responses[i] = query(requests[i]);
-      ++w.processed;
-      if (responses[i].cache_hit) ++w.cache_hits;
-      if (responses[i].context_cache_hit) ++w.context_hits;
-      if (responses[i].result && responses[i].result->quarantined) {
-        ++w.quarantined;  // a vetoed answer is not a served query
-      } else {
-        w.latency.record(responses[i].latency_micros);
-      }
-    }
-    w.busy_micros = micros_since(busy_start);
-  });
-  const double wall = micros_since(start);
-
-  if (stats != nullptr) {
-    stats->workers = std::move(workers);
-    stats->wall_micros = wall;
-  }
-  return responses;
 }
 
 }  // namespace dbr::service

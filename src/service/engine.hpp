@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
-#include <vector>
 
 #include "service/cache.hpp"
 #include "service/context_cache.hpp"
@@ -15,21 +13,21 @@
 
 namespace dbr::service {
 
-/// Tuning knobs of the EmbedEngine (caching, context reuse, validation).
+/// Tuning knobs of the EmbedEngine (result caching, context-cache size,
+/// validation, repair). Every computed query acquires its fault-independent
+/// per-(base, n) InstanceContext through the engine's ContextCache, so a
+/// fresh engine is the cold baseline: its first query per instance builds.
 struct EngineOptions {
+  /// Serve repeats from the result cache. Off, every query computes (the
+  /// uncached baseline a cached answer must be bit-identical to).
   bool enable_cache = true;
   std::size_t cache_capacity = 4096;  ///< total entries across shards
-  std::size_t cache_shards = 16;
-  /// Reuse the fault-independent per-(base, n) InstanceContext across
-  /// queries via the engine's ContextCache. When false, every computed query
-  /// rebuilds its context from scratch (the pre-context behavior, kept as
-  /// the cold baseline for the fault-churn bench).
-  bool reuse_contexts = true;
+  std::size_t cache_shards = 16;      ///< result-cache lock stripes
   /// Bound on distinct (base, n) contexts held at once (LRU beyond it), so
   /// instance-diverse traffic cannot grow memory without limit.
   std::size_t context_cache_capacity = ContextCache::kDefaultCapacity;
   /// Debug mode: run the independent verify/ oracle on every computed
-  /// answer (cache misses and compute_uncached). A violation is quarantined
+  /// answer (every cache miss). A violation is quarantined
   /// as kInternalError carrying the oracle's findings (EmbedResult::
   /// quarantined), so it is never cached or mistaken for a correct
   /// embedding. Cache hits are not re-checked: they are bit-identical
@@ -44,7 +42,7 @@ struct EngineOptions {
   /// EmbedResponse::repaired, are validity- and envelope-equivalent to a
   /// cold solve (and oracle-checked when validate_responses is on), but
   /// may be a different valid ring; they never enter the result cache.
-  /// Stateless query()/query_batch() traffic is unaffected.
+  /// Stateless query() traffic is unaffected.
   bool incremental_repair = false;
 };
 
@@ -124,17 +122,6 @@ class EmbedEngine {
   /// must match (key.base, key.n).
   EmbedResponse query_with_context(
       const CacheKey& key, std::shared_ptr<const core::InstanceContext> context);
-
-  /// Serves a batch concurrently on util/parallel workers. Responses come
-  /// back in request order. When `stats` is non-null it receives per-worker
-  /// counters and the batch wall clock.
-  std::vector<EmbedResponse> query_batch(std::span<const EmbedRequest> requests,
-                                         BatchStats* stats = nullptr);
-
-  /// Computes an answer without consulting or filling the result cache; the
-  /// baseline the cache path must be bit-identical to. Context reuse still
-  /// follows options().reuse_contexts.
-  std::shared_ptr<const EmbedResult> compute_uncached(const EmbedRequest& request) const;
 
   const EngineOptions& options() const { return options_; }
   CacheStats cache_stats() const { return cache_->stats(); }

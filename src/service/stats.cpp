@@ -26,10 +26,6 @@ double LatencySnapshot::percentile(double p) const {
   return sorted_[rank == 0 ? 0 : rank - 1];
 }
 
-void LatencyRecorder::merge(const LatencyRecorder& other) {
-  samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
-}
-
 double LatencyRecorder::mean() const {
   if (samples_.empty()) return 0.0;
   return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
@@ -38,47 +34,6 @@ double LatencyRecorder::mean() const {
 
 double LatencyRecorder::percentile(double p) const {
   return snapshot().percentile(p);
-}
-
-std::uint64_t BatchStats::processed() const {
-  std::uint64_t total = 0;
-  for (const WorkerStats& w : workers) total += w.processed;
-  return total;
-}
-
-std::uint64_t BatchStats::cache_hits() const {
-  std::uint64_t total = 0;
-  for (const WorkerStats& w : workers) total += w.cache_hits;
-  return total;
-}
-
-std::uint64_t BatchStats::context_hits() const {
-  std::uint64_t total = 0;
-  for (const WorkerStats& w : workers) total += w.context_hits;
-  return total;
-}
-
-std::uint64_t BatchStats::quarantined() const {
-  std::uint64_t total = 0;
-  for (const WorkerStats& w : workers) total += w.quarantined;
-  return total;
-}
-
-double BatchStats::hit_rate() const {
-  const std::uint64_t total = processed();
-  return total == 0 ? 0.0
-                    : static_cast<double>(cache_hits()) / static_cast<double>(total);
-}
-
-double BatchStats::throughput_qps() const {
-  if (wall_micros <= 0.0) return 0.0;
-  return static_cast<double>(processed()) / (wall_micros * 1e-6);
-}
-
-LatencyRecorder BatchStats::merged_latency() const {
-  LatencyRecorder merged;
-  for (const WorkerStats& w : workers) merged.merge(w.latency);
-  return merged;
 }
 
 double ServeStats::result_hit_rate() const {

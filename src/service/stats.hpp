@@ -29,13 +29,12 @@ class LatencySnapshot {
 };
 
 /// Latency samples in microseconds with percentile extraction. Not
-/// thread-safe: each worker records into its own instance; merge afterwards
-/// — per-owner isolation instead of a lock, so there is no capability to
+/// thread-safe: one owner records into it (a bench loop, a session) —
+/// per-owner isolation instead of a lock, so there is no capability to
 /// annotate (docs/CONCURRENCY.md).
 class LatencyRecorder {
  public:
   void record(double micros) { samples_.push_back(micros); }
-  void merge(const LatencyRecorder& other);
 
   std::size_t count() const { return samples_.size(); }
   double mean() const;
@@ -51,42 +50,11 @@ class LatencyRecorder {
   std::vector<double> samples_;
 };
 
-/// What one batch worker did: queries served, cache hits among them, and
-/// the time it spent serving (busy, excluding thread startup/join).
-struct WorkerStats {
-  std::size_t worker = 0;
-  std::uint64_t processed = 0;
-  std::uint64_t cache_hits = 0;    ///< served whole from the result cache
-  std::uint64_t context_hits = 0;  ///< computed, but reusing a shared context
-  /// Responses the validate_responses oracle quarantined as kInternalError.
-  /// Counted here, but excluded from `latency`: a vetoed answer is not a
-  /// served query and must not skew p50/p99 aggregation.
-  std::uint64_t quarantined = 0;
-  double busy_micros = 0.0;
-  LatencyRecorder latency;  ///< serve latencies, quarantined excluded
-};
-
-/// Aggregate view of one EmbedEngine::query_batch call.
-struct BatchStats {
-  std::vector<WorkerStats> workers;
-  double wall_micros = 0.0;
-
-  std::uint64_t processed() const;
-  std::uint64_t cache_hits() const;
-  std::uint64_t context_hits() const;
-  /// Oracle-quarantined responses across workers (excluded from latency).
-  std::uint64_t quarantined() const;
-  double hit_rate() const;
-  /// Queries per second against the batch wall clock.
-  double throughput_qps() const;
-  LatencyRecorder merged_latency() const;
-};
-
 /// Engine-lifetime counters separating the two cache layers, so a workload's
 /// wins are attributable: a *result* hit serves the finished answer; a
 /// *context* hit still solves, but reuses the fault-independent per-(base, n)
 /// precompute on the miss path. context_hits + context_misses covers exactly
-/// the computed (non-result-hit, non-compute_uncached) queries.
+/// the computed (non-result-hit) queries.
 struct ServeStats {
   std::uint64_t queries = 0;
   std::uint64_t result_hits = 0;

@@ -143,8 +143,8 @@ struct EmbedResult {
   std::string error;  ///< set when status != kOk
   /// The validate_responses oracle rejected the computed answer and this
   /// result is its kInternalError quarantine wrapper (engine.hpp). Never
-  /// cached; batch latency percentiles exclude quarantined responses (they
-  /// measure the oracle's veto path, not serving).
+  /// cached; the wire codec carries the flag, and perfbench counts such a
+  /// reply as a wrong answer.
   bool quarantined = false;
 
   /// Equality of everything deterministic, ignoring compute_micros.

@@ -1,11 +1,7 @@
 #include "util/parallel.hpp"
 
 #include <cstdlib>
-#include <exception>
 #include <thread>
-#include <vector>
-
-#include "util/thread_annotations.hpp"
 
 namespace dbr {
 
@@ -16,42 +12,6 @@ unsigned worker_count() {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1u : hw;
-}
-
-void parallel_blocks(
-    std::size_t count,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  const std::size_t workers =
-      std::min<std::size_t>(worker_count(), count == 0 ? 1 : count);
-  if (workers <= 1) {
-    fn(0, 0, count);
-    return;
-  }
-  std::exception_ptr first_error;
-  util::Mutex error_mutex;
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  const std::size_t chunk = (count + workers - 1) / workers;
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t begin = w * chunk;
-    const std::size_t end = std::min(count, begin + chunk);
-    threads.emplace_back([&, w, begin, end] {
-      try {
-        fn(w, begin, end);
-      } catch (...) {
-        const util::MutexLock lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn) {
-  parallel_blocks(count, [&](std::size_t, std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-  });
 }
 
 }  // namespace dbr

@@ -1,23 +1,10 @@
 #pragma once
 
-#include <cstddef>
-#include <functional>
-
 namespace dbr {
 
-/// Number of worker threads used by parallel_for (hardware concurrency,
-/// overridable through the DBR_THREADS environment variable).
+/// Default worker-thread count: hardware concurrency, overridable through
+/// the DBR_THREADS environment variable. Sizes net::Server's pool when
+/// ServerOptions::workers is 0.
 unsigned worker_count();
-
-/// Runs fn(i) for i in [0, count) on worker_count() threads with static
-/// block partitioning. fn must be safe to call concurrently for distinct i.
-/// Exceptions thrown by fn are rethrown on the calling thread (first one wins).
-void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
-
-/// Block-partitioned variant handing each worker a contiguous [begin, end)
-/// range together with its worker index; useful for per-thread accumulators.
-void parallel_blocks(
-    std::size_t count,
-    const std::function<void(std::size_t worker, std::size_t begin, std::size_t end)>& fn);
 
 }  // namespace dbr

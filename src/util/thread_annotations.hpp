@@ -5,7 +5,7 @@
 /// vocabulary.
 ///
 /// Every mutex-bearing component (service/cache, service/context_cache,
-/// net/server, util/parallel) declares its locking contract through these
+/// net/server) declares its locking contract through these
 /// macros and wrapper types, so the contract is machine-checked
 /// by Clang's `-Wthread-safety` analysis (the CI static-analysis job builds
 /// with `-Wthread-safety -Werror=thread-safety`) instead of living only in

@@ -1,7 +1,8 @@
 // Concurrency contract of the service ContextCache: one context constructed
 // per key no matter how many threads miss at once, no torn reads on the
-// lazily built sections, failed builds never cached, clear() starts a fresh
-// observation window. Also the contract of the annotated lock wrappers the
+// lazily built sections, failed builds never cached, instances over the
+// node limit refused without a trace, clear() starts a fresh observation
+// window. Also the contract of the annotated lock wrappers the
 // cache (and every other mutex-bearing component) locks through: identical
 // semantics to the std primitives, zero size cost on any compiler.
 
@@ -12,6 +13,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -109,6 +111,34 @@ TEST(ContextCacheTest, FailedBuildsPropagateAndAreNeverCached) {
   EXPECT_THROW(cache.get_or_build(1, 3), precondition_error);  // retried
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.stats().entries, 0u);
+}
+
+TEST(ContextCacheTest, OverLimitInstancesCountNoMissAndEvictNothing) {
+  static_assert(ContextCache::kMaxNodes == std::uint64_t{1} << 20);
+  ContextCache cache(1);
+  const auto live = cache.get_or_build(2, 6);
+  // 2^21 and 1025^2 = 1,050,625 nodes are just past the limit; 2^40 and
+  // 3^4000 saturate the count instead of overflowing or looping n times.
+  for (const KeyShape shape :
+       {KeyShape{2, 21}, KeyShape{1025, 2}, KeyShape{2, 40}, KeyShape{3, 4000}}) {
+    try {
+      cache.get_or_build(shape.d, shape.n);
+      ADD_FAILURE() << "B(" << shape.d << "," << shape.n << ") was built";
+    } catch (const precondition_error& e) {
+      const std::string instance = "B(" + std::to_string(shape.d) + "," +
+                                   std::to_string(shape.n) + ")";
+      EXPECT_NE(std::string(e.what()).find(instance), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("limit of 1048576"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // No miss counted, no slot taken: the one live entry is still a hit.
+  EXPECT_EQ(cache.stats().misses, 1u);
+  bool hit = false;
+  EXPECT_EQ(cache.get_or_build(2, 6, &hit).get(), live.get());
+  EXPECT_TRUE(hit);
 }
 
 TEST(ContextCacheTest, ClearDropsEntriesAndResetsCountersButNotPins) {

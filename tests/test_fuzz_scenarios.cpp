@@ -75,10 +75,10 @@ void run_sweep(Strategy strategy) {
         << "FUZZ FAILURE " << sc.describe() << ": " << report.to_string();
 
     // The cached serving path must be bit-identical to a cold computation.
-    const auto baseline = cold.compute_uncached(sc.request);
+    const auto baseline = cold.query(sc.request).result;
     ASSERT_TRUE(resp.result->same_embedding(*baseline))
         << "FUZZ FAILURE " << sc.describe()
-        << ": cached result differs from compute_uncached";
+        << ": cached result differs from an uncached engine's";
 
     // A permuted/duplicated presentation of the same fault set must hit the
     // entry just written (valid scenario answers are always cacheable).

@@ -16,7 +16,7 @@
 // result cache off, and its status, strategy, ring length, bounds and an
 // FNV-1a hash of the ring words must equal the committed row of
 // golden_rings.hpp. Unlike the differential suites (arena vs legacy solve,
-// cached vs compute_uncached), this pins the answers themselves, so a
+// cached vs uncached engines), this pins the answers themselves, so a
 // change to code both sides share — the window checks of debruijn/cycle,
 // util/require, the context tables — cannot move a ring unnoticed.
 //

@@ -333,6 +333,22 @@ TEST(MixedFaultEngine, CorrelatedRouterLossSharesTheNodeOnlyCacheEntry) {
       engine.query(mixed_request(2, 6, {u}, incident));
   EXPECT_TRUE(correlated.cache_hit);
   EXPECT_EQ(correlated.result, bare.result);
+
+  // Routers 1-64 of B(4,5), each presented again with its 2d incident links.
+  const WordSpace ws45(4, 5);
+  for (Word router = 1; router <= 64; ++router) {
+    const EmbedResponse alone = engine.query(mixed_request(4, 5, {router}, {}));
+    ASSERT_TRUE(alone.ok()) << "router " << router;
+    std::vector<Word> links;
+    for (Digit a = 0; a < 4; ++a) {
+      links.push_back(ws45.edge_word(router, a));
+      links.push_back(ws45.edge_word(ws45.shift_prepend(router, a), ws45.tail(router)));
+    }
+    const EmbedResponse with_links =
+        engine.query(mixed_request(4, 5, {router}, links));
+    EXPECT_TRUE(with_links.cache_hit) << "router " << router;
+    EXPECT_EQ(with_links.result, alone.result) << "router " << router;
+  }
 }
 
 TEST(MixedFaultEngine, AllMixedRegimesOracleValidated) {
@@ -367,14 +383,19 @@ TEST(MixedFaultEngine, AllMixedRegimesOracleValidated) {
 
 TEST(MixedFaultSession, EquivalentToStatelessUnderChurn) {
   EmbedEngine engine;
-  EngineOptions cold_options;
-  cold_options.enable_cache = false;
-  cold_options.reuse_contexts = false;
-  EmbedEngine cold(cold_options);
+  EmbedEngine cold(EngineOptions{.enable_cache = false});
 
+  std::vector<verify::ChurnScript> scripts;
   for (std::uint64_t seed : {11u, 23u, 47u}) {
-    const verify::ChurnScript script =
-        verify::make_churn_script(seed, Strategy::kMixed, 60);
+    scripts.push_back(verify::make_churn_script(seed, Strategy::kMixed, 60));
+  }
+  // A longer timeline on B(4,5) with up to three live faults of each kind.
+  EmbedRequest b45;
+  b45.base = 4;
+  b45.n = 5;
+  b45.fault_kind = FaultKind::kMixed;
+  scripts.push_back(verify::make_churn_script(42, b45, 120, /*max_live=*/3));
+  for (const verify::ChurnScript& script : scripts) {
     EmbedSession session(engine, script.base_request.base,
                          script.base_request.n, FaultKind::kMixed);
     FaultSet live;

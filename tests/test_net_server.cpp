@@ -364,6 +364,20 @@ TEST(NetServer, BadInstanceAnswersBadRequestNotDisconnect) {
   EXPECT_EQ(reply.status, WireStatus::kBadRequest);
   EXPECT_FALSE(reply.message.empty());
   EXPECT_EQ(rig.client.stats().status, WireStatus::kOk);
+
+  // B(2,40) has 2^40 nodes, past ContextCache::kMaxNodes: the lazy session
+  // build refuses it before allocating anything.
+  ASSERT_EQ(rig.client.configure_session(2, 40, FaultKind::kNode).status,
+            WireStatus::kOk);
+  const Client::SolveReply too_big = rig.client.session_solve();
+  EXPECT_EQ(too_big.status, WireStatus::kBadRequest);
+  EXPECT_NE(too_big.message.find("limit"), std::string::npos) << too_big.message;
+  EXPECT_EQ(rig.engine->context_cache_stats().entries, 0u);
+  // The connection still serves.
+  const EmbedRequest req = node_request(2, 8, {5});
+  const Client::SolveReply solved = rig.client.solve(req);
+  ASSERT_EQ(solved.status, WireStatus::kOk) << solved.message;
+  EXPECT_EQ(solved.embed.ring_length, rig.engine->query(req).result->ring_length);
 }
 
 TEST(NetServer, BackpressureEngagesUnderTinyQueueBound) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/ffc.hpp"
@@ -11,7 +13,6 @@
 #include "debruijn/debruijn.hpp"
 #include "service/cache.hpp"
 #include "service/engine.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace dbr::service {
@@ -202,7 +203,7 @@ TEST(EmbedEngineTest, CachedResponseIsBitIdenticalToUncached) {
     const EmbedResponse cached = engine.query(req);   // served from cache
     ASSERT_TRUE(cached.cache_hit);
     EmbedEngine cold(EngineOptions{.enable_cache = false});
-    const auto baseline = cold.compute_uncached(req);
+    const auto baseline = cold.query(req).result;
     EXPECT_TRUE(cached.result->same_embedding(*baseline))
         << "strategy " << to_string(req.strategy);
   }
@@ -366,6 +367,14 @@ TEST(EmbedEngineTest, RejectedRequestsNeverTouchTheContextCache) {
   EXPECT_NE(mismatch.result->error.find("ffc strategy requires node faults"),
             std::string::npos)
       << mismatch.result->error;
+  // B(2,21) has 2^21 nodes, past ContextCache::kMaxNodes: refused before
+  // the build, with the instance and the limit named.
+  const EmbedResponse too_big = engine.query(node_request(2, 21, {5}));
+  ASSERT_EQ(too_big.result->status, EmbedStatus::kBadRequest);
+  EXPECT_NE(too_big.result->error.find("B(2,21)"), std::string::npos)
+      << too_big.result->error;
+  EXPECT_NE(too_big.result->error.find("limit"), std::string::npos)
+      << too_big.result->error;
   EXPECT_EQ(engine.context_cache_stats().entries, 0u);
   EXPECT_EQ(engine.context_cache_stats().misses, 0u);
 }
@@ -508,9 +517,30 @@ TEST(EmbedEngineTest, ValidateResponsesChecksMissesAndSkipsHits) {
 }
 
 // --------------------------------------------------------------------------
-// Engine: concurrent batches.
+// Engine: concurrent queries. The thread count is fixed, so every host and
+// sanitizer run sees the same concurrency.
 
-TEST(EmbedEngineTest, ConcurrentBatchMatchesSequentialBaseline) {
+constexpr std::size_t kQueryThreads = 4;
+
+/// Serves `batch` on one engine from kQueryThreads threads, thread t taking
+/// requests t, t + kQueryThreads, ...; responses come back in request order.
+std::vector<EmbedResponse> query_on_threads(
+    EmbedEngine& engine, const std::vector<EmbedRequest>& batch) {
+  std::vector<EmbedResponse> responses(batch.size());
+  std::vector<std::thread> threads;
+  threads.reserve(kQueryThreads);
+  for (std::size_t t = 0; t < kQueryThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = t; i < batch.size(); i += kQueryThreads) {
+        responses[i] = engine.query(batch[i]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  return responses;
+}
+
+TEST(EmbedEngineTest, ConcurrentQueriesMatchAColdEngine) {
   Rng rng(2026);
   std::vector<EmbedRequest> batch;
   for (int i = 0; i < 72; ++i) {
@@ -527,38 +557,48 @@ TEST(EmbedEngineTest, ConcurrentBatchMatchesSequentialBaseline) {
     }
   }
 
-  EmbedEngine concurrent;
-  BatchStats stats;
-  const std::vector<EmbedResponse> responses = concurrent.query_batch(batch, &stats);
-  ASSERT_EQ(responses.size(), batch.size());
+  EmbedEngine engine;
+  const std::vector<EmbedResponse> responses = query_on_threads(engine, batch);
 
-  EmbedEngine sequential(EngineOptions{.enable_cache = false});
+  EmbedEngine cold(EngineOptions{.enable_cache = false});
+  std::uint64_t hits = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto baseline = sequential.compute_uncached(batch[i]);
-    EXPECT_TRUE(responses[i].result->same_embedding(*baseline)) << "request " << i;
+    ASSERT_TRUE(responses[i].result) << "request " << i;
+    EXPECT_TRUE(responses[i].result->same_embedding(*cold.query(batch[i]).result))
+        << "request " << i;
+    if (responses[i].cache_hit) ++hits;
   }
-
-  EXPECT_EQ(stats.processed(), batch.size());
-  EXPECT_EQ(stats.merged_latency().count(), batch.size());
-  EXPECT_EQ(stats.cache_hits(), concurrent.cache_stats().hits);
-  EXPECT_GT(stats.wall_micros, 0.0);
-  EXPECT_GT(stats.throughput_qps(), 0.0);
-  std::uint64_t worker_hits = 0;
-  for (const WorkerStats& w : stats.workers) worker_hits += w.cache_hits;
-  EXPECT_EQ(worker_hits, stats.cache_hits());
+  EXPECT_EQ(engine.cache_stats().hits, hits);
+  EXPECT_EQ(engine.serve_stats().queries, batch.size());
 }
 
-TEST(EmbedEngineTest, RepeatHeavyBatchMostlyHitsTheCache) {
+TEST(EmbedEngineTest, ConcurrentRepeatsMostlyHitTheCache) {
   const EmbedRequest hot = node_request(3, 4, {11, 57});
-  std::vector<EmbedRequest> batch(200, hot);
+  const std::vector<EmbedRequest> batch(200, hot);
   EmbedEngine engine;
-  BatchStats stats;
-  const std::vector<EmbedResponse> responses = engine.query_batch(batch, &stats);
-  // Every worker computes the hot key at most once (racing first misses are
+  const std::vector<EmbedResponse> responses = query_on_threads(engine, batch);
+  // Each thread computes the hot key at most once (racing first misses are
   // allowed), so hits dominate.
-  EXPECT_GE(stats.cache_hits(), batch.size() - worker_count());
+  EXPECT_GE(engine.cache_stats().hits, batch.size() - kQueryThreads);
   for (const EmbedResponse& r : responses)
     EXPECT_TRUE(r.result->same_embedding(*responses.front().result));
+}
+
+TEST(EmbedEngineTest, ServeStatsSeparateResultAndContextHits) {
+  EmbedEngine engine;
+  std::vector<EmbedRequest> batch;
+  for (Word v = 0; v < 16; ++v) {
+    batch.push_back(node_request(2, 6, {v % 8}));  // 8 unique, 8 repeats
+  }
+  query_on_threads(engine, batch);
+  // Every query either hit the result cache or computed; computed queries
+  // beyond the very first context build reused the context.
+  const ServeStats stats = engine.serve_stats();
+  EXPECT_EQ(stats.queries, batch.size());
+  const std::uint64_t computed = stats.queries - stats.result_hits;
+  EXPECT_EQ(stats.context_hits + stats.context_misses, computed);
+  EXPECT_GE(stats.context_hits, computed - 1);
+  EXPECT_LE(stats.context_hits, computed);
 }
 
 // --------------------------------------------------------------------------
@@ -656,10 +696,6 @@ TEST(EmbedEngineTest, ResultCacheHitsDoNotTouchTheContextCache) {
 }
 
 TEST(EmbedEngineTest, ContextReuseIsBitIdenticalToColdRebuilds) {
-  EngineOptions cold_options;
-  cold_options.reuse_contexts = false;
-  cold_options.enable_cache = false;
-  EmbedEngine cold(cold_options);
   EngineOptions warm_options;
   warm_options.enable_cache = false;
   EmbedEngine warm(warm_options);
@@ -674,31 +710,15 @@ TEST(EmbedEngineTest, ContextReuseIsBitIdenticalToColdRebuilds) {
     batch.push_back(edge_request(3, 4, {rng.below(243)}, Strategy::kEdgePhi));
     batch.push_back(edge_request(3, 4, {rng.below(243)}, Strategy::kButterfly));
     for (const EmbedRequest& req : batch) {
-      const EmbedResponse a = cold.query(req);
+      // A fresh engine's ContextCache is empty, so its query builds.
+      const EmbedResponse a = EmbedEngine().query(req);
       const EmbedResponse b = warm.query(req);
       ASSERT_TRUE(a.result && b.result);
       EXPECT_TRUE(a.result->same_embedding(*b.result));
-      EXPECT_FALSE(a.context_cache_hit);  // cold engine never reuses
+      EXPECT_FALSE(a.context_cache_hit);
     }
   }
-  EXPECT_EQ(cold.serve_stats().context_hits, 0u);
   EXPECT_GT(warm.serve_stats().context_hits, 0u);
-}
-
-TEST(EmbedEngineTest, BatchStatsSeparateResultAndContextHits) {
-  EmbedEngine engine;
-  std::vector<EmbedRequest> batch;
-  for (Word v = 0; v < 16; ++v) {
-    batch.push_back(node_request(2, 6, {v % 8}));  // 8 unique, 8 repeats
-  }
-  BatchStats stats;
-  engine.query_batch(batch, &stats);
-  // Every query either hit the result cache or computed; computed queries
-  // beyond the very first context build reused the context.
-  EXPECT_EQ(stats.processed(), batch.size());
-  const std::uint64_t computed = stats.processed() - stats.cache_hits();
-  EXPECT_GE(stats.context_hits(), computed - 1);
-  EXPECT_LE(stats.context_hits(), computed);
 }
 
 // --------------------------------------------------------------------------
@@ -733,46 +753,6 @@ TEST(EmbedEngineTest, ClearCacheResetsServeStatsCoherently) {
   EXPECT_EQ(engine.context_cache_stats().entries, 1u);
 }
 
-TEST(BatchStatsTest, QuarantinedResponsesAreCountedButNotTimed) {
-  // Regression: a validate_responses quarantine (kInternalError veto) used
-  // to be recorded into the worker's latency samples, skewing the p50/p99
-  // aggregation of bench/verify_overhead.cpp. Quarantined responses are
-  // now a separate counter and never enter the recorder.
-  BatchStats stats;
-  WorkerStats clean;
-  clean.processed = 3;
-  clean.latency.record(10.0);
-  clean.latency.record(20.0);
-  clean.latency.record(30.0);
-  WorkerStats vetoed;
-  vetoed.processed = 2;
-  vetoed.quarantined = 2;  // both answers quarantined: nothing timed
-  stats.workers = {clean, vetoed};
-
-  EXPECT_EQ(stats.processed(), 5u);
-  EXPECT_EQ(stats.quarantined(), 2u);
-  EXPECT_EQ(stats.merged_latency().count(), 3u);
-  EXPECT_DOUBLE_EQ(stats.merged_latency().percentile(100), 30.0);
-}
-
-TEST(EmbedEngineTest, ValidatedBatchTimesEveryNonQuarantinedResponse) {
-  EngineOptions options;
-  options.validate_responses = true;
-  EmbedEngine engine(options);
-  std::vector<EmbedRequest> stream;
-  for (Word f = 0; f < 8; ++f) stream.push_back(node_request(2, 6, {f}));
-  BatchStats stats;
-  const auto responses = engine.query_batch(stream, &stats);
-  ASSERT_EQ(responses.size(), stream.size());
-  for (const EmbedResponse& r : responses) {
-    ASSERT_TRUE(r.result);
-    EXPECT_FALSE(r.result->quarantined);
-  }
-  EXPECT_EQ(stats.quarantined(), 0u);
-  // With no vetoes, the percentile base covers the whole batch.
-  EXPECT_EQ(stats.merged_latency().count(), stream.size());
-}
-
 TEST(LatencyRecorderTest, PercentilesUseNearestRank) {
   LatencyRecorder rec;
   for (int i = 1; i <= 100; ++i) rec.record(static_cast<double>(i));
@@ -781,11 +761,6 @@ TEST(LatencyRecorderTest, PercentilesUseNearestRank) {
   EXPECT_DOUBLE_EQ(rec.percentile(100), 100.0);
   EXPECT_DOUBLE_EQ(rec.percentile(0), 1.0);
   EXPECT_DOUBLE_EQ(rec.mean(), 50.5);
-  LatencyRecorder other;
-  other.record(1000.0);
-  other.merge(rec);
-  EXPECT_EQ(other.count(), 101u);
-  EXPECT_DOUBLE_EQ(other.percentile(100), 1000.0);
 }
 
 TEST(LatencyRecorderTest, SnapshotMatchesPerCallPercentiles) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <numeric>
 
 #include "util/parallel.hpp"
@@ -44,36 +43,6 @@ TEST(TextTableTest, NegativeAndDoubleFormats) {
   const std::string s = t.to_csv();
   EXPECT_NE(s.find("-5"), std::string::npos);
   EXPECT_NE(s.find("-2.5"), std::string::npos);
-}
-
-TEST(ParallelTest, ForCoversAllIndices) {
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(1000, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelTest, BlocksPartitionExactly) {
-  std::vector<std::atomic<int>> hits(777);
-  parallel_blocks(777, [&](std::size_t, std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelTest, ZeroAndOneItems) {
-  int calls = 0;
-  parallel_for(0, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  parallel_for(1, [&](std::size_t i) { EXPECT_EQ(i, 0u); ++calls; });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ParallelTest, ExceptionsPropagate) {
-  EXPECT_THROW(
-      parallel_for(100, [](std::size_t i) {
-        if (i == 57) throw std::runtime_error("worker failure");
-      }),
-      std::runtime_error);
 }
 
 TEST(ParallelTest, WorkerCountPositive) { EXPECT_GE(worker_count(), 1u); }

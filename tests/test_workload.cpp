@@ -10,82 +10,15 @@
 #include "util/word.hpp"
 #include "verify/scenario.hpp"
 
-// Direct coverage for the bench-only workload header: the Zipf sampler's
-// skew shape, request-stream determinism, and the TrafficMatrix flow shapes
-// the traffic simulation injects. These generators feed CI gates
-// (service-throughput and traffic smoke jobs), so their behavior is pinned
-// here rather than only observed through bench output.
+// Direct coverage for the bench-only workload header: the TrafficMatrix
+// flow shapes the traffic simulation injects. They feed the traffic smoke
+// job's CI gate, so their behavior is pinned here rather than only observed
+// through bench output.
 
 namespace dbr::bench {
 namespace {
 
 using verify::TrafficPattern;
-
-bool same_request(const service::EmbedRequest& a,
-                  const service::EmbedRequest& b) {
-  return a.base == b.base && a.n == b.n && a.fault_kind == b.fault_kind &&
-         a.strategy == b.strategy && a.faults == b.faults &&
-         a.edge_faults == b.edge_faults;
-}
-
-// --- ZipfSampler ---
-
-TEST(Workload, ZipfSkewConcentratesOnLowRanks) {
-  constexpr std::size_t kRanks = 16;
-  constexpr std::size_t kDraws = 20000;
-  const auto head_share = [](double s) {
-    ZipfSampler zipf(kRanks, s);
-    Rng rng(7);
-    std::size_t head = 0;
-    for (std::size_t i = 0; i < kDraws; ++i) {
-      if (zipf(rng) == 0) ++head;
-    }
-    return static_cast<double>(head) / kDraws;
-  };
-  const double uniform = head_share(0.0);
-  const double skewed = head_share(1.0);
-  const double heavy = head_share(2.5);
-  // s = 0 degenerates to uniform: rank 0 draws its fair 1/16 share.
-  EXPECT_NEAR(uniform, 1.0 / kRanks, 0.02);
-  // Rising s concentrates mass on the head monotonically.
-  EXPECT_GT(skewed, uniform + 0.1);
-  EXPECT_GT(heavy, skewed + 0.1);
-  EXPECT_GT(heavy, 0.7);  // s = 2.5 over 16 ranks is head-dominated
-}
-
-TEST(Workload, ZipfDrawsStayInRange) {
-  ZipfSampler zipf(5, 1.0);
-  Rng rng(11);
-  for (int i = 0; i < 1000; ++i) EXPECT_LT(zipf(rng), 5u);
-}
-
-// --- make_stream ---
-
-TEST(Workload, StreamIsDeterministicForAFixedSeed) {
-  Rng a(123), b(123);
-  const auto sa = make_stream(a, 200, 16, 0.5, 1.0);
-  const auto sb = make_stream(b, 200, 16, 0.5, 1.0);
-  ASSERT_EQ(sa.size(), sb.size());
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    EXPECT_TRUE(same_request(sa[i], sb[i])) << "stream diverged at " << i;
-  }
-}
-
-TEST(Workload, FullRepeatFractionDrawsOnlyFromTheHotPool) {
-  Rng rng(5);
-  const std::size_t unique = 8;
-  const auto stream = make_stream(rng, 300, unique, 1.0);
-  // Every request must be one of the pool entries: at most `unique`
-  // distinct (base, n, faults) signatures appear.
-  std::set<std::vector<std::uint64_t>> signatures;
-  for (const auto& req : stream) {
-    std::vector<std::uint64_t> sig{req.base, req.n,
-                                   static_cast<std::uint64_t>(req.fault_kind)};
-    sig.insert(sig.end(), req.faults.begin(), req.faults.end());
-    signatures.insert(sig);
-  }
-  EXPECT_LE(signatures.size(), unique);
-}
 
 // --- TrafficMatrix ---
 
